@@ -76,8 +76,13 @@ void BM_MpiAlltoall(benchmark::State& state) {
     mpi::World world(engine, fabric,
                      mpi::Topology(static_cast<std::size_t>(ranks), 1));
     world.launch([ranks](mpi::Comm comm) {
-      std::vector<Offset> send(static_cast<std::size_t>(ranks), 1);
-      for (int i = 0; i < 8; ++i) (void)comm.alltoall(send, sizeof(Offset));
+      std::vector<std::pair<int, Offset>> send;
+      std::vector<std::pair<int, Offset>> recv;
+      for (int i = 0; i < 8; ++i) {
+        send.clear();
+        for (int d = 0; d < ranks; ++d) send.emplace_back(d, 1);
+        comm.alltoall(std::move(send), &recv);
+      }
     });
     engine.run();
   }

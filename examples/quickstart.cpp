@@ -3,6 +3,9 @@
 //
 //   $ ./examples/quickstart
 //
+// Exits nonzero when any rank's open, write, close or read-back fails, so
+// ctest runs it as an end-to-end check.
+//
 // Walks through the core API: Platform, MPI ranks, MPI-IO hints (Tables I
 // and II of the paper), collective write, close-with-flush, verification.
 #include <cstdio>
@@ -29,16 +32,17 @@ int main() {
   hints.set("e10_cache_discard_flag", "enable");
 
   constexpr Offset kBlock = 256 * KiB;
+  bool failed = false;
+  const auto fail = [&failed](const char* what, const Status& s) {
+    std::fprintf(stderr, "%s failed: %s\n", what, s.to_string().c_str());
+    failed = true;
+  };
 
   platform.launch([&](mpi::Comm comm) {
     auto file = mpiio::File::open(platform.ctx, comm, "/pfs/quickstart",
                                   adio::amode::create | adio::amode::rdwr,
                                   hints);
-    if (!file.is_ok()) {
-      std::fprintf(stderr, "open failed: %s\n",
-                   file.status().to_string().c_str());
-      return;
-    }
+    if (!file.is_ok()) return fail("open", file.status());
 
     // Interleaved pattern: rank r owns blocks r, r+P, r+2P, ...
     const Time t0 = comm.engine().now();
@@ -48,16 +52,14 @@ int main() {
           static_cast<std::uint64_t>(comm.rank()), offset, kBlock);
       if (const Status s = file.value().write_at_all(offset, data);
           !s.is_ok()) {
-        std::fprintf(stderr, "write failed: %s\n", s.to_string().c_str());
-        return;
+        return fail("write", s);
       }
     }
     const Time write_done = comm.engine().now();
 
     // The close waits for the background cache synchronisation (§III-B).
     if (const Status s = file.value().close(); !s.is_ok()) {
-      std::fprintf(stderr, "close failed: %s\n", s.to_string().c_str());
-      return;
+      return fail("close", s);
     }
     const Time close_done = comm.engine().now();
 
@@ -71,9 +73,13 @@ int main() {
                   format_time(close_done - write_done).c_str());
     }
 
-    // Read a peer's block back from the global file and spot-check it.
+    // Reopen and read a peer's block back from the global file through
+    // the two-phase collective read, then spot-check it.
+    mpi::Info read_hints;
+    read_hints.set("romio_cb_read", "enable");
     auto reader = mpiio::File::open(platform.ctx, comm, "/pfs/quickstart",
-                                    adio::amode::rdonly, {});
+                                    adio::amode::rdonly, read_hints);
+    if (!reader.is_ok()) return fail("reopen", reader.status());
     const int peer = (comm.rank() + 1) % comm.size();
     const auto block = reader.value().read_at_all(peer * kBlock, kBlock);
     const bool ok =
@@ -81,7 +87,10 @@ int main() {
         block.value().byte_at(0) ==
             DataView::pattern_byte(static_cast<std::uint64_t>(peer),
                                    peer * kBlock);
-    if (!ok) std::fprintf(stderr, "rank %d: verification FAILED\n", comm.rank());
+    if (!ok) {
+      std::fprintf(stderr, "rank %d: verification FAILED\n", comm.rank());
+      failed = true;
+    }
     (void)reader.value().close();
     if (comm.rank() == 0) {
       std::printf("read-back verification: %s\n", ok ? "OK" : "FAILED");
@@ -91,5 +100,5 @@ int main() {
   platform.run();
   std::printf("simulated virtual time: %s\n",
               format_time(platform.engine.now()).c_str());
-  return 0;
+  return failed ? 1 : 0;
 }

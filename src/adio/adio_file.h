@@ -102,9 +102,10 @@ Status set_view(AdioFile& fd, Offset disp, std::optional<mpi::FlatType> type);
 /// falls back to a direct PFS write when the cache cannot take the data.
 Status write_contig(AdioFile& fd, Offset offset, const DataView& data);
 
-/// Contiguous read at an absolute offset. Reads are served by the global
-/// file (reads from cache are unsupported, §III-B); in coherent mode the
-/// call blocks while any overlapping extent is in transit.
+/// Contiguous read at an absolute offset. With e10_cache_read (off by
+/// default) an extent this rank's cache file holds whole is served from
+/// the cache; everything else comes from the global file, where coherent
+/// mode blocks while any overlapping extent is in transit.
 Result<DataView> read_contig(AdioFile& fd, Offset offset, Offset length);
 
 /// Handle for a nonblocking contiguous write (iwrite_contig). The status is

@@ -7,6 +7,102 @@
 
 namespace e10::adio {
 
+namespace {
+
+const Extent& extent_of(const Extent& extent) { return extent; }
+const Extent& extent_of(const mpi::IoPiece& piece) { return piece.file; }
+
+Extent part_of(const Extent& /*extent*/, const Extent& sub) { return sub; }
+mpi::IoPiece part_of(const mpi::IoPiece& piece, const Extent& sub) {
+  return mpi::IoPiece{
+      sub, piece.data.slice(sub.offset - piece.file.offset, sub.length)};
+}
+
+}  // namespace
+
+Status agree_status(const mpi::Comm& comm, const Status& mine) {
+  const int code = static_cast<int>(mine.code());
+  const int worst =
+      comm.allreduce(code, [](int a, int b) { return std::max(a, b); });
+  if (worst == 0) return Status::ok();
+  if (code == worst) return mine;
+  return Status::error(static_cast<Errc>(worst), "error on a peer rank");
+}
+
+template <typename T>
+std::optional<CollPlan<T>> plan_collective(AdioFile& fd, std::vector<T>& items,
+                                           Toggle cb, bool two_level) {
+  IoContext& ctx = *fd.ctx;
+  const mpi::Comm& comm = fd.comm;
+  std::erase_if(items, [](const T& item) { return extent_of(item).empty(); });
+  std::sort(items.begin(), items.end(), [](const T& a, const T& b) {
+    return extent_of(a).offset < extent_of(b).offset;
+  });
+
+  // --- Step 1: access-pattern exchange ------------------------------------
+  Offset my_start = kNoOffset;
+  Offset my_end = kNoOffset;  // exclusive
+  if (!items.empty()) {
+    my_start = extent_of(items.front()).offset;
+    my_end = extent_of(items.back()).end();
+  }
+  CollPlan<T> plan;
+  {
+    PhaseScope scope(ctx, comm.rank(), prof::Phase::offset_exchange);
+    plan.all_offsets = comm.allgather(std::make_pair(my_start, my_end),
+                                      Offset{2} * sizeof(Offset));
+  }
+
+  // Interleave check (ROMIO: collective buffering pays off only when rank
+  // regions interleave; otherwise independent I/O is better) and the
+  // global region [gmin, gmax).
+  bool interleaved = false;
+  Offset prev_end = -1;
+  Offset gmin = kNoOffset;
+  Offset gmax = -1;
+  for (const auto& [start, end] : plan.all_offsets) {
+    if (start == kNoOffset) continue;
+    if (prev_end >= 0 && start < prev_end) interleaved = true;
+    prev_end = std::max(prev_end, end);
+    gmin = std::min(gmin, start);
+    gmax = std::max(gmax, end);
+  }
+  if (cb == Toggle::disable || (cb == Toggle::automatic && !interleaved) ||
+      gmin == kNoOffset) {
+    return std::nullopt;
+  }
+
+  // --- Step 2: file domains and this rank's round plan ---------------------
+  PhaseScope scope(ctx, comm.rank(), prof::Phase::calc);
+  // The BeeGFS/Lustre driver aligns file domains to stripe boundaries so
+  // aggregators never false-share a stripe lock (paper footnote 1).
+  std::optional<Offset> align;
+  if (fd.driver == Driver::beegfs && fd.stripe_unit > 0) {
+    align = fd.stripe_unit;
+  }
+  std::vector<std::size_t> aggregator_nodes;
+  aggregator_nodes.reserve(fd.aggregators.size());
+  for (int agg : fd.aggregators) aggregator_nodes.push_back(comm.node_of(agg));
+  RoundPlanner planner(Extent{gmin, gmax - gmin}, aggregator_nodes,
+                       fd.hints.cb_buffer_size, align, two_level);
+  plan.domains = planner.domains();
+  plan.rounds.resize(static_cast<std::size_t>(planner.rounds()));
+  // Items are sorted, so the planner's monotonic domain cursor never needs
+  // to rewind.
+  for (const T& item : items) {
+    planner.split(extent_of(item), [&](Offset round, std::size_t agg_index,
+                                       const Extent& sub) {
+      plan_append(plan.rounds, round, agg_index, part_of(item, sub));
+    });
+  }
+  return plan;
+}
+
+template std::optional<CollPlan<Extent>> plan_collective(
+    AdioFile&, std::vector<Extent>&, Toggle, bool);
+template std::optional<CollPlan<mpi::IoPiece>> plan_collective(
+    AdioFile&, std::vector<mpi::IoPiece>&, Toggle, bool);
+
 RoundPlanner::RoundPlanner(const Extent& region, std::size_t aggregator_count,
                            Offset cb_buffer_size, std::optional<Offset> align)
     : cb_(cb_buffer_size) {

@@ -1,9 +1,14 @@
-// Staged round pipeline for the extended two-phase collective write.
+// Shared pieces of extended two-phase (ext2ph) collective I/O.
 //
-// RoundPlanner owns the planning half of ext2ph — file domains, round
-// count, and the (round, aggregator) window each byte of an access list
-// feeds — shared by the collective write and read paths (it used to be
-// duplicated in both).
+// plan_collective is the prologue both directions run before their rounds
+// (Thakur et al. treat two-phase read and write as mirror images): the
+// step-1 access-pattern allgather, the romio_cb_* fallback decision, and
+// the RoundPlanner split of this rank's access list into (round,
+// aggregator) buckets. read_strided_coll and write_strided_coll keep only
+// their own round bodies.
+//
+// RoundPlanner owns the planning itself — file domains, round count, and
+// the (round, aggregator) window each byte of an access list feeds.
 //
 // WritePipeline owns the execution half on the aggregator side: the
 // collective buffer is double-buffered, so round r's write to the cache (or
@@ -12,15 +17,19 @@
 // before reusing its buffer (acquire_buffer), and drains everything before
 // the collective error exchange. With the pipeline disabled every round's
 // write is joined at issue time, which is exactly the classic synchronous
-// ext2ph round loop. See docs/pipeline.md for the stage diagram.
+// ext2ph round loop. See docs/pipeline.md for the stage diagram. Collective
+// reads run their rounds unpipelined.
 #pragma once
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "adio/adio_file.h"
+#include "adio/round_plan.h"
 #include "common/thread_safety.h"
 #include "sim/async.h"
 #include "sim/concurrency.h"
@@ -87,6 +96,35 @@ class RoundPlanner {
   Offset rounds_ = 0;
   std::size_t domain_ = 0;  // monotonic cursor into domains_
 };
+
+/// Start and end a rank with no data reports in the step-1 allgather.
+inline constexpr Offset kNoOffset = std::numeric_limits<Offset>::max();
+
+/// Collective error agreement (ROMIO's error exchange): every rank returns
+/// the worst code any rank saw — its own status when it was the worst.
+Status agree_status(const mpi::Comm& comm, const Status& mine);
+
+/// What the shared prologue hands a direction's round loop.
+template <typename T>
+struct CollPlan {
+  /// Step-1 (start, end) per rank; (kNoOffset, kNoOffset) means no data.
+  std::vector<std::pair<Offset, Offset>> all_offsets;
+  std::vector<Extent> domains;  // aggregator file domains
+  /// This rank's items per round (one entry per round), by aggregator.
+  std::vector<RoundPlan<T>> rounds;
+};
+
+/// The ext2ph prologue, T = Extent (reads) or mpi::IoPiece (writes).
+/// Drops empty items and sorts `items` by offset in place, allgathers every
+/// rank's (start, end) (offset_exchange), and returns nullopt — the caller
+/// then takes its independent path — when `cb` disables collective
+/// buffering, when it is automatic and no rank regions interleave, or when
+/// no rank has data. Otherwise partitions [gmin, gmax) into file domains
+/// (stripe-aligned on BeeGFS; node-aware when `two_level`) and splits the
+/// items into (round, aggregator) buckets (calc).
+template <typename T>
+std::optional<CollPlan<T>> plan_collective(AdioFile& fd, std::vector<T>& items,
+                                           Toggle cb, bool two_level);
 
 /// Double-buffered aggregator write stage. All methods must run inside the
 /// owning rank's simulated process; the pipeline state itself is owned by

@@ -1,35 +1,39 @@
-// Two-phase collective read (ADIOI_GEN_ReadStridedColl): aggregators read
-// their file-domain windows from the global file and scatter the pieces to
-// the requesting ranks. Reads never touch the cache tier (§III-B); coherent
-// mode blocks on in-transit extents inside read_contig.
+// Two-phase collective read (ADIOI_GEN_ReadStridedColl): after the shared
+// ext2ph prologue (plan_collective), aggregators read their file-domain
+// windows and scatter the pieces to the requesting ranks. The window read
+// goes through read_contig, so with e10_cache_read it is served from the
+// aggregator's cache file when that holds the whole window; coherent mode
+// blocks on in-transit extents there.
 #include <algorithm>
-#include <limits>
-#include <optional>
+#include <utility>
 
 #include "adio/adio_file.h"
 #include "adio/pipeline.h"
-#include "adio/round_plan.h"
 
 namespace e10::adio {
 
 namespace {
 
-constexpr Offset kNoOffset = std::numeric_limits<Offset>::max();
-
-Status agree_status(const mpi::Comm& comm, const Status& mine) {
-  const int code = static_cast<int>(mine.code());
-  const int worst =
-      comm.allreduce(code, [](int a, int b) { return std::max(a, b); });
-  if (worst == 0) return Status::ok();
-  if (code == worst) return mine;
-  return Status::error(static_cast<Errc>(worst), "error on a peer rank");
+/// One piece per requested extent out of the aggregator's window read at
+/// `lo`. Reads near EOF may come back short; the tail is zero-padded so
+/// the requester always gets what it asked for.
+std::vector<mpi::IoPiece> cut_window(const DataView& window, Offset lo,
+                                     const std::vector<Extent>& extents) {
+  std::vector<mpi::IoPiece> pieces;
+  pieces.reserve(extents.size());
+  for (const Extent& e : extents) {
+    const Offset rel = e.offset - lo;
+    const Offset take = std::clamp<Offset>(window.size() - rel, 0, e.length);
+    std::vector<DataView> parts;
+    if (take > 0) parts.push_back(window.slice(rel, take));
+    if (take < e.length) {
+      parts.push_back(DataView::real(std::vector<std::byte>(
+          static_cast<std::size_t>(e.length - take), std::byte{0})));
+    }
+    pieces.push_back(mpi::IoPiece{e, DataView::concat(parts)});
+  }
+  return pieces;
 }
-
-/// A rank's request for part of an aggregator's round window.
-struct ReadChunk {
-  int requester = 0;
-  Extent extent;
-};
 
 }  // namespace
 
@@ -37,159 +41,78 @@ Result<std::vector<DataView>> read_strided_coll(
     AdioFile& fd, const std::vector<Extent>& wanted) {
   IoContext& ctx = *fd.ctx;
   const mpi::Comm& comm = fd.comm;
-  const int p = comm.size();
   const int me = comm.rank();
 
+  // Reads stay single-level even under e10_two_level_flag: they already
+  // fan out aggregator → rank (one message per reader), so an intra-node
+  // gather stage has no p-to-A flow to collapse.
   std::vector<Extent> sorted = wanted;
-  std::erase_if(sorted, [](const Extent& e) { return e.empty(); });
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Extent& a, const Extent& b) {
-              return a.offset < b.offset;
-            });
-
-  Offset my_start = kNoOffset, my_end = kNoOffset;
-  if (!sorted.empty()) {
-    my_start = sorted.front().offset;
-    my_end = sorted.back().end();
-  }
-  std::vector<std::pair<Offset, Offset>> all_offsets;
-  {
-    PhaseScope scope(ctx, me, prof::Phase::offset_exchange);
-    all_offsets = comm.allgather(std::make_pair(my_start, my_end),
-                                 Offset{2} * sizeof(Offset));
-  }
-
-  bool interleaved = false;
-  Offset prev_end = -1;
-  Offset gmin = kNoOffset, gmax = -1;
-  for (const auto& [start, end] : all_offsets) {
-    if (start == kNoOffset) continue;
-    if (prev_end >= 0 && start < prev_end) interleaved = true;
-    prev_end = std::max(prev_end, end);
-    gmin = std::min(gmin, start);
-    gmax = std::max(gmax, end);
-  }
-
-  if (fd.hints.romio_cb_read == Toggle::disable ||
-      (fd.hints.romio_cb_read == Toggle::automatic && !interleaved) ||
-      gmin == kNoOffset) {
+  auto plan = plan_collective(fd, sorted, fd.hints.romio_cb_read,
+                              /*two_level=*/false);
+  if (!plan) {
     auto result = read_strided(fd, wanted);
     const Status agreed = agree_status(comm, result.status());
     if (!agreed.is_ok()) return agreed;
     return result;
   }
 
-  std::optional<Offset> align;
-  if (fd.driver == Driver::beegfs && fd.stripe_unit > 0) {
-    align = fd.stripe_unit;
-  }
-  // The read path stays single-level even under e10_two_level_flag: reads
-  // already fan out aggregator → rank (one message per reader), so an
-  // intra-node gather stage has no p-to-A flow to collapse. The flat
-  // constructor keeps the read plan independent of the hint.
-  RoundPlanner planner(Extent{gmin, gmax - gmin}, fd.aggregators.size(),
-                       fd.hints.cb_buffer_size, align);
-  const Offset ntimes = planner.rounds();
-
-  // Which (aggregator, round) serves each part of my request list. Sorted
-  // requests keep the planner's domain cursor monotonic.
-  std::vector<RoundPlan<Extent>> plan(static_cast<std::size_t>(ntimes));
-  for (const Extent& want : sorted) {
-    planner.split(want, [&](Offset round, std::size_t agg_index,
-                            const Extent& sub) {
-      plan_append(plan, round, agg_index, sub);
-    });
-  }
-
   Status my_status = Status::ok();
   ByteStore assembled;  // pieces land here, keyed by file offset
 
-  // Round-persistent exchange buffers (entries touched by a round are
-  // cleared sparsely afterwards, so the steady state allocates nothing).
-  std::vector<std::vector<Extent>> requests_by_rank(
-      static_cast<std::size_t>(p));
+  // Round-persistent exchange buffers: (aggregator, extents) requests out,
+  // (requester, extents) requests in, ascending by requester.
+  std::vector<std::pair<int, std::vector<Extent>>> requests;
+  std::vector<std::pair<int, std::vector<Extent>>> incoming;
   std::vector<mpi::Request> recv_requests;
   std::vector<mpi::Request> send_requests;
 
-  for (Offset round = 0; round < ntimes; ++round) {
-    auto& round_plan = plan[static_cast<std::size_t>(round)];
+  for (std::size_t round = 0; round < plan->rounds.size(); ++round) {
+    const int tag = static_cast<int>(round);
+    RoundPlan<Extent>& round_plan = plan->rounds[round];
 
     // Dissemination: every rank tells every aggregator which extents it
-    // wants this round (the read-side analogue of the alltoall).
-    for (const auto& [agg_index, extents] : round_plan) {
-      requests_by_rank[static_cast<std::size_t>(
-          fd.aggregators[agg_index])] = extents;
+    // wants this round (the read-side analogue of the counts alltoall).
+    requests.clear();
+    for (auto& [agg_index, extents] : round_plan) {
+      requests.emplace_back(fd.aggregators[agg_index], std::move(extents));
     }
-    std::vector<std::vector<Extent>> incoming;
     {
       PhaseScope scope(ctx, me, prof::Phase::shuffle_all2all);
-      incoming = comm.alltoall(requests_by_rank, 2 * sizeof(Offset) * 4);
-    }
-    for (const auto& [agg_index, extents] : round_plan) {
-      requests_by_rank[static_cast<std::size_t>(fd.aggregators[agg_index])]
-          .clear();
+      comm.alltoall(std::move(requests),
+                    fd.is_aggregator() ? &incoming : nullptr,
+                    2 * sizeof(Offset) * 4);
     }
 
     // Post receives for the data I asked for.
     recv_requests.clear();
     for (const auto& [agg_index, extents] : round_plan) {
-      recv_requests.push_back(
-          comm.irecv(fd.aggregators[agg_index], static_cast<int>(round)));
+      recv_requests.push_back(comm.irecv(fd.aggregators[agg_index], tag));
     }
 
-    // Aggregator: read the covering window once, slice per requester.
+    // Aggregator: read the covering window once and answer each requester
+    // with one message. A failed read still answers everyone (with no
+    // pieces), so every rank reaches the error agreement below.
     send_requests.clear();
-    if (fd.is_aggregator()) {
-      std::vector<ReadChunk> chunks;
-      Offset lo = kNoOffset, hi = -1;
-      for (int src = 0; src < p; ++src) {
-        for (const Extent& e : incoming[static_cast<std::size_t>(src)]) {
-          chunks.push_back(ReadChunk{src, e});
+    if (fd.is_aggregator() && !incoming.empty()) {
+      Offset lo = kNoOffset;
+      Offset hi = -1;
+      for (const auto& [src, extents] : incoming) {
+        for (const Extent& e : extents) {
           lo = std::min(lo, e.offset);
           hi = std::max(hi, e.end());
         }
       }
-      if (!chunks.empty()) {
-        auto window = read_contig(fd, lo, hi - lo);
-        if (!window.is_ok()) {
-          if (my_status.is_ok()) my_status = window.status();
-        } else {
-          // Group the chunks per requester and answer each with one
-          // message. Chunks were collected in ascending source order, so
-          // a flat append-grouped list matches the old map's iteration.
-          std::vector<std::pair<int, std::vector<mpi::IoPiece>>> replies;
-          for (const ReadChunk& chunk : chunks) {
-            mpi::IoPiece piece;
-            piece.file = chunk.extent;
-            const Offset rel = chunk.extent.offset - lo;
-            const Offset avail = window.value().size();
-            const Offset take =
-                std::clamp<Offset>(avail - rel, 0, chunk.extent.length);
-            // Reads near EOF may come back short; pad with zeros so the
-            // requester always gets what it asked for.
-            std::vector<DataView> parts;
-            if (take > 0) parts.push_back(window.value().slice(rel, take));
-            if (take < chunk.extent.length) {
-              parts.push_back(DataView::real(std::vector<std::byte>(
-                  static_cast<std::size_t>(chunk.extent.length - take),
-                  std::byte{0})));
-            }
-            piece.data = DataView::concat(parts);
-            if (replies.empty() || replies.back().first != chunk.requester) {
-              replies.emplace_back(chunk.requester,
-                                   std::vector<mpi::IoPiece>{});
-            }
-            replies.back().second.push_back(std::move(piece));
-          }
-          for (auto& [dst, pieces] : replies) {
-            Offset bytes = 0;
-            for (const mpi::IoPiece& piece : pieces) {
-              bytes += piece.file.length;
-            }
-            send_requests.push_back(comm.isend(dst, static_cast<int>(round),
-                                               std::move(pieces), bytes));
-          }
+      auto window = read_contig(fd, lo, hi - lo);
+      if (!window.is_ok() && my_status.is_ok()) my_status = window.status();
+      for (const auto& [src, extents] : incoming) {
+        std::vector<mpi::IoPiece> pieces;
+        Offset bytes = 0;
+        if (window.is_ok()) {
+          pieces = cut_window(window.value(), lo, extents);
+          for (const Extent& e : extents) bytes += e.length;
         }
+        send_requests.push_back(
+            comm.isend(src, tag, std::move(pieces), bytes));
       }
     }
 
@@ -200,7 +123,7 @@ Result<std::vector<DataView>> read_strided_coll(
     }
 
     for (const mpi::Request& request : recv_requests) {
-      const auto pieces = std::any_cast<std::vector<mpi::IoPiece>>(
+      const auto& pieces = std::any_cast<const std::vector<mpi::IoPiece>&>(
           request.packet().payload);
       for (const mpi::IoPiece& piece : pieces) {
         assembled.write(piece.file.offset, piece.data);

@@ -3,6 +3,7 @@
 //
 //   1. all ranks exchange access-pattern offsets        (MPI_Allgather)
 //   2. file domains are computed from the global region (RoundPlanner)
+//      -- steps 1-2 are plan_collective, shared with the read path
 //   3. per round: dissemination of send sizes           (MPI_Alltoall)
 //                 data shuffle to aggregators           (isend/irecv/waitall)
 //                 aggregators write the collective buffer (WritePipeline)
@@ -26,30 +27,15 @@
 // two-level rounds have no collective synchronisation at all. The flag
 // off takes the flat path below, bit for bit.
 #include <algorithm>
-#include <limits>
-#include <optional>
 #include <utility>
 
 #include "adio/adio_file.h"
 #include "adio/pipeline.h"
-#include "adio/round_plan.h"
 #include "common/log.h"
 
 namespace e10::adio {
 
 namespace {
-
-constexpr Offset kNoOffset = std::numeric_limits<Offset>::max();
-
-/// Collective error agreement (same rule as ROMIO's error exchange).
-Status agree_status(const mpi::Comm& comm, const Status& mine) {
-  const int code = static_cast<int>(mine.code());
-  const int worst =
-      comm.allreduce(code, [](int a, int b) { return std::max(a, b); });
-  if (worst == 0) return Status::ok();
-  if (code == worst) return mine;
-  return Status::error(static_cast<Errc>(worst), "error on a peer rank");
-}
 
 std::vector<mpi::IoPiece> sorted_by_offset(std::vector<mpi::IoPiece> pieces) {
   std::sort(pieces.begin(), pieces.end(),
@@ -98,88 +84,18 @@ Status write_strided_coll(AdioFile& fd,
   const int p = comm.size();
   const int me = comm.rank();
 
-  const std::vector<mpi::IoPiece> mine = sorted_by_offset(mine_in);
-
-  // --- Step 1: access-pattern exchange ------------------------------------
-  Offset my_start = kNoOffset;
-  Offset my_end = kNoOffset;  // exclusive
-  if (!mine.empty()) {
-    my_start = mine.front().file.offset;
-    my_end = mine.back().file.end();
-  }
-  std::vector<std::pair<Offset, Offset>> all_offsets;
-  {
-    PhaseScope scope(ctx, me, prof::Phase::offset_exchange);
-    all_offsets = comm.allgather(std::make_pair(my_start, my_end),
-                                 Offset{2} * sizeof(Offset));
-  }
-
-  // Interleave check (ROMIO: collective buffering pays off only when rank
-  // regions interleave; otherwise independent writes are better).
-  bool interleaved = false;
-  Offset prev_end = -1;
-  for (const auto& [start, end] : all_offsets) {
-    if (start == kNoOffset) continue;
-    if (prev_end >= 0 && start < prev_end) interleaved = true;
-    prev_end = std::max(prev_end, end);
-  }
-
-  if (fd.hints.romio_cb_write == Toggle::disable ||
-      (fd.hints.romio_cb_write == Toggle::automatic && !interleaved)) {
+  std::vector<mpi::IoPiece> mine = mine_in;
+  auto planned = plan_collective(fd, mine, fd.hints.romio_cb_write,
+                                 fd.two_level);
+  if (!planned) {
     const Status independent = write_strided(fd, mine);
     PhaseScope scope(ctx, me, prof::Phase::post_write);
     return agree_status(comm, independent);
   }
-
-  // --- Step 2: global region, file domains, round plan ---------------------
-  Offset gmin = kNoOffset;
-  Offset gmax = -1;
-  for (const auto& [start, end] : all_offsets) {
-    if (start == kNoOffset) continue;
-    gmin = std::min(gmin, start);
-    gmax = std::max(gmax, end);
-  }
-  if (gmin == kNoOffset) {
-    // Nobody has data; stay collective and agree on success.
-    PhaseScope scope(ctx, me, prof::Phase::post_write);
-    return agree_status(comm, Status::ok());
-  }
-
-  Offset ntimes = 0;
-  std::vector<Extent> domains;
-  std::vector<RoundPlan<mpi::IoPiece>> plan;
-  {
-    PhaseScope scope(ctx, me, prof::Phase::calc);
-
-    // The BeeGFS/Lustre driver aligns file domains to stripe boundaries so
-    // aggregators never false-share a stripe lock (paper footnote 1).
-    std::optional<Offset> align;
-    if (fd.driver == Driver::beegfs && fd.stripe_unit > 0) {
-      align = fd.stripe_unit;
-    }
-    std::vector<std::size_t> aggregator_nodes;
-    aggregator_nodes.reserve(fd.aggregators.size());
-    for (int agg : fd.aggregators) aggregator_nodes.push_back(comm.node_of(agg));
-    RoundPlanner planner(Extent{gmin, gmax - gmin}, aggregator_nodes,
-                         fd.hints.cb_buffer_size, align, fd.two_level);
-    ntimes = planner.rounds();
-    domains = planner.domains();
-
-    // --- Step 3 (local part): which (aggregator, round) each of my pieces
-    // feeds. Pieces are sorted, so the planner's monotonic domain cursor
-    // never needs to rewind.
-    plan.resize(static_cast<std::size_t>(ntimes));
-    for (const mpi::IoPiece& piece : mine) {
-      planner.split(piece.file, [&](Offset round, std::size_t agg_index,
-                                    const Extent& sub) {
-        mpi::IoPiece part;
-        part.file = sub;
-        part.data = piece.data.slice(sub.offset - piece.file.offset,
-                                     sub.length);
-        plan_append(plan, round, agg_index, std::move(part));
-      });
-    }
-  }
+  const auto& all_offsets = planned->all_offsets;
+  const auto& domains = planned->domains;
+  auto& plan = planned->rounds;
+  const auto ntimes = static_cast<Offset>(plan.size());
 
   // --- Step 3: rounds of dissemination + shuffle + write -------------------
   Status my_status = Status::ok();
@@ -268,9 +184,9 @@ Status write_strided_coll(AdioFile& fd,
   // list, and the aggregator's receive staging survive across rounds so
   // the steady state allocates nothing. send_counts carries only this
   // round's nonzero (aggregator, bytes) pairs, and only aggregators ask
-  // the alltoall to materialize recv_counts.
+  // the alltoall for their (source, bytes) recv_counts.
   std::vector<std::pair<int, Offset>> send_counts;
-  std::vector<Offset> recv_counts;
+  std::vector<std::pair<int, Offset>> recv_counts;
   std::vector<mpi::Request> requests;
   std::vector<mpi::IoPiece> received;
   for (Offset round = 0; round < ntimes; ++round) {
@@ -306,8 +222,8 @@ Status write_strided_coll(AdioFile& fd,
       // ---- Flat exchange (classic ext2ph) --------------------------------
       {
         PhaseScope scope(ctx, me, prof::Phase::shuffle_all2all);
-        comm.alltoall_counts(send_counts,
-                             fd.is_aggregator() ? &recv_counts : nullptr);
+        comm.alltoall(std::move(send_counts),
+                      fd.is_aggregator() ? &recv_counts : nullptr);
       }
 
       // The shuffle lands in a collective buffer; with the pipeline enabled
@@ -318,8 +234,8 @@ Status write_strided_coll(AdioFile& fd,
       requests.clear();
       std::size_t nrecv = 0;
       if (fd.is_aggregator()) {
-        for (int src = 0; src < p; ++src) {
-          if (recv_counts[static_cast<std::size_t>(src)] > 0) {
+        for (const auto& [src, bytes] : recv_counts) {
+          if (bytes > 0) {
             requests.push_back(comm.irecv(src, static_cast<int>(round)));
             ++nrecv;
           }

@@ -70,16 +70,6 @@ std::shared_ptr<const std::vector<std::any>> Comm::run_collective(
   return state_->collective(rank_, kind, std::move(contribution), bytes);
 }
 
-void Comm::alltoall_counts(const std::vector<Offset>& send,
-                           std::vector<Offset>& recv) const {
-  state_->alltoall_counts(rank_, send, recv);
-}
-
-void Comm::alltoall_counts(const std::vector<std::pair<int, Offset>>& send,
-                           std::vector<Offset>* recv) const {
-  state_->alltoall_counts_sparse(rank_, send, recv);
-}
-
 Comm Comm::split(int color, int key) const {
   int new_rank = -1;
   auto child = state_->split_child(rank_, color, key, &new_rank);
@@ -302,7 +292,24 @@ void CommState::complete_arrival(CollOp& op, Offset bytes) {
     // Last arriver: everyone leaves at max arrival + modeled tree cost.
     const Time release =
         op.max_arrival + collective_cost(op.kind, op.max_bytes);
-    if (!op.typed) {
+    if (op.kind == Comm::Kind::alltoall) {
+      // Group every deposit by destination once; each rank then takes its
+      // own group, ascending by source.
+      std::sort(op.entries.begin(), op.entries.end(),
+                [](const A2aEntry& a, const A2aEntry& b) {
+                  return std::tie(a.dst, a.src) < std::tie(b.dst, b.src);
+                });
+      const auto dup = std::adjacent_find(
+          op.entries.begin(), op.entries.end(),
+          [](const A2aEntry& a, const A2aEntry& b) {
+            return a.dst == b.dst && a.src == b.src;
+          });
+      if (dup != op.entries.end()) {
+        throw std::logic_error("alltoall: rank " + std::to_string(dup->src) +
+                               " sent to rank " + std::to_string(dup->dst) +
+                               " twice");
+      }
+    } else {
       op.result = std::make_shared<std::vector<std::any>>(
           std::move(op.contributions));
     }
@@ -332,53 +339,45 @@ void CommState::depart(CollOp& op) {
   // Ranks depart op g before joining g+1, so full departure happens in
   // sequence order and only the front ever retires.
   while (!coll_ops_.empty() && coll_ops_.front().departed == p) {
-    if (coll_ops_.front().typed) {
-      counts_pool_.push_back(std::move(coll_ops_.front().counts));
+    if (coll_ops_.front().kind == Comm::Kind::alltoall) {
+      entries_pool_.push_back(std::move(coll_ops_.front().entries));
     }
     coll_ops_.pop_front();
     ++coll_base_;
   }
 }
 
-std::vector<CommState::CountEntry> CommState::acquire_counts() {
-  if (!counts_pool_.empty()) {
-    std::vector<CountEntry> counts = std::move(counts_pool_.back());
-    counts_pool_.pop_back();
-    counts.clear();
-    return counts;
-  }
-  return {};
-}
-
-CommState::CollOp& CommState::join_counts(int rank) {
+CommState::CollOp& CommState::join_alltoall(int rank) {
   CollOp& op = collective_slot(rank, Comm::Kind::alltoall);
-  if (op.arrived == 0) {
-    op.typed = true;
-    op.counts = acquire_counts();
-  } else if (!op.typed) {
-    throw std::logic_error("collective mismatch on comm '" + name_ +
-                           "': typed and generic alltoall at the same step");
+  if (op.arrived == 0 && !entries_pool_.empty()) {
+    op.entries = std::move(entries_pool_.back());
+    entries_pool_.pop_back();
+    op.entries.clear();
   }
   return op;
 }
 
-void CommState::extract_counts(const CollOp& op, int rank,
-                               std::vector<Offset>& recv) {
-  recv.assign(static_cast<std::size_t>(size()), 0);
-  for (const CountEntry& entry : op.counts) {
-    if (entry.dst == rank) {
-      recv[static_cast<std::size_t>(entry.src)] = entry.bytes;
-    }
+void CommState::deposit(CollOp& op, int rank, int dst, std::size_t value) {
+  if (dst < 0 || dst >= size()) {
+    throw std::logic_error("alltoall: destination rank out of range");
   }
+  op.entries.push_back(A2aEntry{rank, dst, value});
+}
+
+std::pair<std::size_t, std::size_t> CommState::arrive_alltoall(
+    CollOp& op, int rank, Offset bytes_each) {
+  complete_arrival(op, bytes_each * size());
+  await_release(op);
+  const auto [first, last] = std::equal_range(
+      op.entries.begin(), op.entries.end(), A2aEntry{0, rank, 0},
+      [](const A2aEntry& a, const A2aEntry& b) { return a.dst < b.dst; });
+  return {static_cast<std::size_t>(first - op.entries.begin()),
+          static_cast<std::size_t>(last - op.entries.begin())};
 }
 
 std::shared_ptr<const std::vector<std::any>> CommState::collective(
     int rank, Comm::Kind kind, std::any contribution, Offset bytes) {
   CollOp& op = collective_slot(rank, kind);
-  if (op.typed) {
-    throw std::logic_error("collective mismatch on comm '" + name_ +
-                           "': typed and generic alltoall at the same step");
-  }
   if (op.arrived == 0) {
     op.contributions.resize(static_cast<std::size_t>(size()));
   }
@@ -388,42 +387,6 @@ std::shared_ptr<const std::vector<std::any>> CommState::collective(
   std::shared_ptr<const std::vector<std::any>> result = op.result;
   depart(op);
   return result;
-}
-
-void CommState::alltoall_counts(int rank, const std::vector<Offset>& send,
-                                std::vector<Offset>& recv) {
-  const auto p = static_cast<std::size_t>(size());
-  if (send.size() != p) {
-    throw std::logic_error("alltoall: sendbuf size != comm size");
-  }
-  CollOp& op = join_counts(rank);
-  for (std::size_t i = 0; i < p; ++i) {
-    if (send[i] != 0) {
-      op.counts.push_back(CountEntry{rank, static_cast<int>(i), send[i]});
-    }
-  }
-  complete_arrival(op, static_cast<Offset>(sizeof(Offset)) * size());
-  await_release(op);
-  extract_counts(op, rank, recv);
-  depart(op);
-}
-
-void CommState::alltoall_counts_sparse(
-    int rank, const std::vector<std::pair<int, Offset>>& send,
-    std::vector<Offset>* recv) {
-  CollOp& op = join_counts(rank);
-  for (const auto& [dst, bytes] : send) {
-    if (dst < 0 || dst >= size()) {
-      throw std::logic_error("alltoall: destination rank out of range");
-    }
-    op.counts.push_back(CountEntry{rank, dst, bytes});
-  }
-  complete_arrival(op, static_cast<Offset>(sizeof(Offset)) * size());
-  await_release(op);
-  if (recv != nullptr) {
-    extract_counts(op, rank, *recv);
-  }
-  depart(op);
 }
 
 std::shared_ptr<CommState> CommState::split_child(int caller_rank, int color,

@@ -15,7 +15,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -100,46 +103,19 @@ class Comm {
     return out;
   }
 
-  /// `send[i]` goes to rank i; returns the vector received from each rank.
-  /// `bytes_each` is the wire size of one element.
+  /// Sparse alltoall. `send` holds this rank's (destination rank, value)
+  /// pairs, destinations unique; the values are moved out of it (the
+  /// vector and its capacity stay with the caller). When `recv` is non-null
+  /// it is overwritten with every (source rank, value) addressed to this
+  /// rank, ascending by source — the order of a dense alltoall's rows. A
+  /// rank that passes nullptr skips extraction but still joins, and pays
+  /// for, the collective. `bytes_each` is the wire size of one element of
+  /// the dense form: the modeled cost is stages·α + ser(bytes_each·p)
+  /// however sparse `send` is.
   template <typename T>
-  std::vector<T> alltoall(const std::vector<T>& send,
-                          Offset bytes_each = sizeof(T)) const {
-    if (static_cast<int>(send.size()) != size()) {
-      throw std::logic_error("alltoall: sendbuf size != comm size");
-    }
-    auto contribs = run_collective(Kind::alltoall, std::any(send),
-                                   bytes_each * size());
-    std::vector<T> out;
-    out.reserve(contribs->size());
-    for (const std::any& a : *contribs) {
-      const auto& row = std::any_cast<const std::vector<T>&>(a);
-      out.push_back(row[static_cast<std::size_t>(rank_)]);
-    }
-    return out;
-  }
-
-  /// Typed fast path for the per-round counts dissemination (the hottest
-  /// collective in the whole simulator — every exchange round of every
-  /// rank runs one). Virtual-time cost and synchronization semantics are
-  /// identical to alltoall<Offset>(send, sizeof(Offset)); the host-side
-  /// difference is that contributions land in a pooled sparse entry list
-  /// instead of per-rank std::any-boxed vector copies, and the result is
-  /// written into a caller-reused buffer (resized to size(), absent
-  /// entries zero).
-  void alltoall_counts(const std::vector<Offset>& send,
-                       std::vector<Offset>& recv) const;
-
-  /// Sparse variant: `send` holds this rank's nonzero (destination rank,
-  /// byte count) pairs — the caller usually knows them directly from its
-  /// round plan; destinations must be unique within one call — and
-  /// `recv`, when non-null, receives the dense
-  /// per-source counts. Passing nullptr skips result extraction entirely
-  /// (a rank that is not an aggregator never reads its counts), which is
-  /// a pure host-side shortcut: the rank still participates in, and is
-  /// charged for, the collective exactly as in the dense form.
-  void alltoall_counts(const std::vector<std::pair<int, Offset>>& send,
-                       std::vector<Offset>* recv) const;
+  void alltoall(std::vector<std::pair<int, T>>&& send,
+                std::type_identity_t<std::vector<std::pair<int, T>>>* recv,
+                Offset bytes_each = sizeof(T)) const;
 
   template <typename T>
   T bcast(const T& value, int root, Offset bytes = sizeof(T)) const {
@@ -216,12 +192,6 @@ class CommState {
   std::shared_ptr<const std::vector<std::any>> collective(
       int rank, Comm::Kind kind, std::any contribution, Offset bytes);
 
-  void alltoall_counts(int rank, const std::vector<Offset>& send,
-                       std::vector<Offset>& recv);
-  void alltoall_counts_sparse(int rank,
-                              const std::vector<std::pair<int, Offset>>& send,
-                              std::vector<Offset>* recv);
-
   std::shared_ptr<CommState> split_child(int caller_rank, int color, int key,
                                          int* new_rank);
 
@@ -232,6 +202,8 @@ class CommState {
   std::uint64_t collectives() const { return coll_ops_started_; }
 
  private:
+  friend class Comm;  // Comm::alltoall keeps the typed half of the op
+
   struct PendingMsg {
     Packet packet;
     Time arrival = 0;
@@ -247,25 +219,25 @@ class CommState {
     std::deque<PendingMsg> unexpected;
     std::deque<PendingRecv> posted;
   };
-  /// One nonzero cell of a typed alltoall's counts matrix.
-  struct CountEntry {
+  /// One alltoall deposit; `value` indexes the op's typed value buffer.
+  struct A2aEntry {
     int src = 0;
     int dst = 0;
-    Offset bytes = 0;
+    std::size_t value = 0;
   };
 
   struct CollOp {
     explicit CollOp(sim::Engine& engine) : release(engine) {}
     std::vector<std::any> contributions;
-    /// Typed alltoall_counts deposits (sparse, deposit order); empty
-    /// unless `typed`. Recycled through counts_pool_ on retirement.
-    std::vector<CountEntry> counts;
+    /// Alltoall only: every rank's deposits, grouped by (dst, src) once
+    /// the last rank arrives, and the std::vector<T> they index into.
+    std::vector<A2aEntry> entries;
+    std::any values;
     std::size_t arrived = 0;
     std::size_t departed = 0;
     Time max_arrival = 0;
     Offset max_bytes = 0;
     Comm::Kind kind = Comm::Kind::barrier;
-    bool typed = false;
     sim::SimEvent release;
     std::shared_ptr<std::vector<std::any>> result;
     sim::CausalToken cause = 0;  // last arriver's release emission
@@ -284,11 +256,16 @@ class CommState {
   /// Departure bookkeeping: the last leaver retires the op (ops retire
   /// strictly in sequence order, so only the deque front ever pops).
   void depart(CollOp& op);
-  /// Checks out a cleared entry list (pooled capacity) for a typed op.
-  std::vector<CountEntry> acquire_counts();
-  /// Shared join/extract core of the dense and sparse typed alltoalls.
-  CollOp& join_counts(int rank);
-  void extract_counts(const CollOp& op, int rank, std::vector<Offset>& recv);
+  /// Joins the caller's next collective as an alltoall.
+  CollOp& join_alltoall(int rank);
+  /// Records one (rank -> dst) deposit at `value` in the typed buffer.
+  void deposit(CollOp& op, int rank, int dst, std::size_t value);
+  /// Arrives (the last arriver groups every deposit by destination and
+  /// rejects a duplicate destination) and waits for the release. Returns
+  /// the caller's group as an index range into op.entries, ascending by
+  /// source.
+  std::pair<std::size_t, std::size_t> arrive_alltoall(CollOp& op, int rank,
+                                                      Offset bytes_each);
 
   sim::Engine& engine_;
   net::Fabric& fabric_;
@@ -304,13 +281,38 @@ class CommState {
   std::vector<std::uint64_t> coll_seq_;
   std::deque<CollOp> coll_ops_;
   std::uint64_t coll_base_ = 0;
-  // Retired typed-alltoall entry lists awaiting reuse.
-  std::vector<std::vector<CountEntry>> counts_pool_;
+  // Retired alltoall entry lists awaiting reuse.
+  std::vector<std::vector<A2aEntry>> entries_pool_;
   // Children created by split/dup at a given collective sequence.
   std::map<std::uint64_t, std::map<int, std::shared_ptr<CommState>>> children_;
   std::uint64_t p2p_messages_ = 0;
   std::uint64_t coll_ops_started_ = 0;
   int next_child_id_ = 0;
 };
+
+template <typename T>
+void Comm::alltoall(std::vector<std::pair<int, T>>&& send,
+                    std::type_identity_t<std::vector<std::pair<int, T>>>* recv,
+                    Offset bytes_each) const {
+  CommState::CollOp& op = state_->join_alltoall(rank_);
+  if (!op.values.has_value()) op.values = std::vector<T>();
+  auto* values = std::any_cast<std::vector<T>>(&op.values);
+  if (values == nullptr) {
+    throw std::logic_error("alltoall: ranks passed different value types");
+  }
+  for (auto& [dst, value] : send) {
+    state_->deposit(op, rank_, dst, values->size());
+    values->push_back(std::move(value));
+  }
+  const auto [first, last] = state_->arrive_alltoall(op, rank_, bytes_each);
+  if (recv != nullptr) {
+    recv->clear();
+    for (std::size_t i = first; i < last; ++i) {
+      const CommState::A2aEntry& entry = op.entries[i];
+      recv->emplace_back(entry.src, std::move((*values)[entry.value]));
+    }
+  }
+  state_->depart(op);
+}
 
 }  // namespace e10::mpi

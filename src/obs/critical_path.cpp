@@ -59,7 +59,10 @@ struct LaneSpanRef {
 };
 
 std::vector<FlatSeg> flatten(std::vector<LaneSpanRef> spans) {
-  std::sort(spans.begin(), spans.end(),
+  // Stable: coincident spans keep their recording order. An unstable sort
+  // would let unrelated spans elsewhere on the lane (even zero-length ones)
+  // decide which of two coincident spans wins.
+  std::stable_sort(spans.begin(), spans.end(),
             [](const LaneSpanRef& a, const LaneSpanRef& b) {
               if (a.begin != b.begin) return a.begin < b.begin;
               return a.end > b.end;  // outer first at equal begin

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -69,20 +71,133 @@ TEST(Collectives, AllgatherOrderedByRank) {
 
 TEST(Collectives, AlltoallTransposes) {
   Fixture f(4, 1);
-  std::vector<std::vector<int>> results(4);
+  std::vector<std::vector<std::pair<int, int>>> results(4);
   f.world.launch([&](Comm comm) {
     // Rank r sends value 100*r + d to rank d.
-    std::vector<int> send;
-    for (int d = 0; d < 4; ++d) send.push_back(100 * comm.rank() + d);
-    results[static_cast<std::size_t>(comm.rank())] = comm.alltoall(send);
+    std::vector<std::pair<int, int>> send;
+    for (int d = 0; d < 4; ++d) send.emplace_back(d, 100 * comm.rank() + d);
+    comm.alltoall(std::move(send),
+                  &results[static_cast<std::size_t>(comm.rank())]);
   });
   f.engine.run();
   for (int r = 0; r < 4; ++r) {
     const auto& got = results[static_cast<std::size_t>(r)];
     ASSERT_EQ(got.size(), 4u);
     for (int s = 0; s < 4; ++s) {
-      EXPECT_EQ(got[static_cast<std::size_t>(s)], 100 * s + r);
+      EXPECT_EQ(got[static_cast<std::size_t>(s)], std::make_pair(s, 100 * s + r));
     }
+  }
+}
+
+TEST(Collectives, AlltoallGroupsBySourceWhateverTheArrivalOrder) {
+  Fixture f(6, 1);
+  std::vector<std::vector<std::pair<int, std::string>>> results(6);
+  f.world.launch([&](Comm comm) {
+    // Higher ranks arrive first; each rank writes to itself and to the
+    // next two ranks, in descending destination order.
+    comm.engine().delay(microseconds(10 * (comm.size() - comm.rank())));
+    std::vector<std::pair<int, std::string>> send;
+    for (int k = 2; k >= 0; --k) {
+      const int dst = (comm.rank() + k) % comm.size();
+      send.emplace_back(dst, std::to_string(comm.rank()) + ">" +
+                                 std::to_string(dst));
+    }
+    comm.alltoall(std::move(send),
+                  &results[static_cast<std::size_t>(comm.rank())]);
+  });
+  f.engine.run();
+  for (int r = 0; r < 6; ++r) {
+    const auto& got = results[static_cast<std::size_t>(r)];
+    std::vector<int> want_src;
+    for (int k = 0; k < 3; ++k) want_src.push_back((r - k + 6) % 6);
+    std::sort(want_src.begin(), want_src.end());
+    ASSERT_EQ(got.size(), 3u);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].first, want_src[i]);
+      EXPECT_EQ(got[i].second,
+                std::to_string(want_src[i]) + ">" + std::to_string(r));
+    }
+  }
+}
+
+TEST(Collectives, AlltoallCostsTheDenseFormula) {
+  // stages·α + ser(bytes_each·p), however sparse the send lists are.
+  constexpr int kRanks = 8;
+  constexpr Offset kBytesEach = 64;
+  const MpiParams params;
+  const Time expected =
+      3 * params.coll_alpha +  // ceil(log2 8) tree stages
+      static_cast<Time>(static_cast<double>(kBytesEach * kRanks) * 1e9 /
+                        static_cast<double>(params.coll_bytes_per_second));
+  Fixture f(kRanks, 1);
+  std::vector<Time> leave(kRanks, -1);
+  f.world.launch([&](Comm comm) {
+    std::vector<std::pair<int, Offset>> send;
+    if (comm.rank() % 2 == 0) send.emplace_back(0, 7);
+    std::vector<std::pair<int, Offset>> recv;
+    comm.alltoall(std::move(send), &recv, kBytesEach);
+    leave[static_cast<std::size_t>(comm.rank())] = comm.engine().now();
+  });
+  f.engine.run();
+  for (const Time t : leave) EXPECT_EQ(t, expected);
+}
+
+TEST(Collectives, AlltoallRejectsBadDestinations) {
+  for (const int bad : {-1, 3}) {
+    Fixture f(3, 1);
+    f.world.launch([&](Comm comm) {
+      std::vector<std::pair<int, int>> send{{bad, 1}};
+      comm.alltoall(std::move(send), nullptr);
+    });
+    EXPECT_THROW(f.engine.run(), std::logic_error) << "destination " << bad;
+  }
+  Fixture f(3, 1);
+  f.world.launch([&](Comm comm) {
+    std::vector<std::pair<int, int>> send{{1, 1}, {2, 2}, {1, 3}};
+    comm.alltoall(std::move(send), nullptr);
+  });
+  EXPECT_THROW(f.engine.run(), std::logic_error);
+}
+
+TEST(Collectives, AlltoallMixedWithAnotherCollectiveThrows) {
+  Fixture f(2, 1);
+  f.world.launch([&](Comm comm) {
+    if (comm.rank() == 0) {
+      comm.alltoall(std::vector<std::pair<int, int>>{{1, 1}}, nullptr);
+    } else {
+      (void)comm.allgather(1);
+    }
+  });
+  try {
+    f.engine.run();
+    FAIL() << "mismatched collectives ran to completion";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("collective mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Collectives, AlltoallWithoutOutputStillPays) {
+  Fixture f(4, 1);
+  std::vector<Time> leave(4, -1);
+  std::vector<std::pair<int, int>> at_zero;
+  f.world.launch([&](Comm comm) {
+    comm.engine().delay(microseconds(comm.rank() == 3 ? 50 : 0));
+    std::vector<std::pair<int, int>> send{{0, comm.rank()}};
+    // Only rank 0 receives anything, so only it asks for its group.
+    comm.alltoall(std::move(send), comm.rank() == 0 ? &at_zero : nullptr);
+    leave[static_cast<std::size_t>(comm.rank())] = comm.engine().now();
+  });
+  f.engine.run();
+  ASSERT_EQ(at_zero.size(), 4u);
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(at_zero[static_cast<std::size_t>(s)], std::make_pair(s, s));
+  }
+  // Everyone, output or not, leaves together after the straggler.
+  for (const Time t : leave) {
+    EXPECT_GT(t, microseconds(50));
+    EXPECT_EQ(t, leave[0]);
   }
 }
 

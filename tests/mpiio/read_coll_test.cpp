@@ -1,9 +1,15 @@
 // Two-phase collective read: coverage beyond the round-trip smoke tests —
-// holes, EOF clamping, interleaved views, romio_cb_read toggles.
+// holes, EOF clamping, interleaved views, romio_cb_read toggles, error
+// agreement, and pinned virtual timings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "common/units.h"
+#include "fault/fault_plan.h"
 #include "mpiio/file.h"
+#include "prof/profiler.h"
 #include "workloads/testbed.h"
 
 namespace e10::mpiio {
@@ -167,6 +173,118 @@ TEST(CollRead, ReadersShareAggregatorWindowReads) {
     return p.pfs.stats().reads;
   };
   EXPECT_LT(pfs_reads_with("enable"), pfs_reads_with("disable"));
+}
+
+TEST(CollRead, AggregatorReadErrorReachesEveryRank) {
+  // A failed aggregator window read must still answer its requesters;
+  // otherwise they block forever on the reply.
+  Platform p(small_testbed());
+  constexpr Offset kBlock = 16 * KiB;
+  std::vector<Errc> codes(static_cast<std::size_t>(p.ranks()), Errc::ok);
+  p.launch([&](mpi::Comm comm) {
+    write_rank_blocks(p, comm, "/pfs/rerr", kBlock);
+    auto file = File::open(p.ctx, comm, "/pfs/rerr", rdwr, coll_read_info());
+    ASSERT_TRUE(file.is_ok());
+    comm.barrier();
+    if (comm.rank() == 0) {
+      p.faults.arm(fault::FaultPlan::parse("pfs_read=1.0/io_error").value());
+    }
+    comm.barrier();
+    const Offset total = static_cast<Offset>(comm.size()) * kBlock;
+    codes[static_cast<std::size_t>(comm.rank())] =
+        file.value().read_at_all(0, total).status().code();
+    (void)file.value().close();
+  });
+  p.run();  // a missing reply surfaces here as a DeadlockError
+  for (const Errc code : codes) EXPECT_EQ(code, Errc::io_error);
+}
+
+// Virtual-time pins for one fixed collective read: an interleaved strided
+// view over 8 ranks, read back after a collective write. The constants are
+// exact; any change to the read path's modeled cost shows up here.
+struct ReadPin {
+  Time end = 0;  // latest rank's return from read_at_all
+  std::array<Time, prof::kPhaseCount> phases{};  // read-only, summed over ranks
+};
+
+ReadPin pinned_strided_read(const char* cb_read, bool cache_read) {
+  Platform p(small_testbed());
+  constexpr Offset kChunk = 8 * KiB;
+  ReadPin pin;
+  p.launch([&](mpi::Comm comm) {
+    mpi::Info info = coll_read_info();
+    info.set("romio_cb_read", cb_read);
+    if (cache_read) {
+      info.set("e10_cache", "enable");
+      info.set("e10_cache_path", "/scratch");
+      info.set("e10_cache_flush_flag", "flush_onclose");
+      info.set("e10_cache_read", "enable");
+    }
+    auto file = File::open(p.ctx, comm, "/pfs/pin", create | rdwr, info);
+    ASSERT_TRUE(file.is_ok());
+    const auto type = mpi::FlatType::vector(8, kChunk, kChunk * comm.size());
+    ASSERT_TRUE(file.value().set_view(comm.rank() * kChunk, type));
+    ASSERT_TRUE(file.value().write_at_all(
+        0, DataView::synthetic(60, comm.rank() * kChunk, 8 * kChunk)));
+    comm.barrier();
+    std::array<Time, prof::kPhaseCount> before{};
+    for (std::size_t ph = 0; ph < prof::kPhaseCount; ++ph) {
+      before[ph] = p.profiler.rank_total(comm.rank(), prof::Phase(ph));
+    }
+    const auto got = file.value().read_at_all(0, 8 * kChunk);
+    pin.end = std::max(pin.end, comm.engine().now());
+    for (std::size_t ph = 0; ph < prof::kPhaseCount; ++ph) {
+      pin.phases[ph] +=
+          p.profiler.rank_total(comm.rank(), prof::Phase(ph)) - before[ph];
+    }
+    ASSERT_TRUE(got.is_ok());
+    ASSERT_EQ(got.value().size(), 8 * kChunk);
+    for (Offset i = 0; i < 8 * kChunk; i += 1021) {
+      ASSERT_EQ(got.value().byte_at(i),
+                DataView::pattern_byte(60, comm.rank() * kChunk + i));
+    }
+    ASSERT_TRUE(file.value().close());
+  });
+  p.run();
+  return pin;
+}
+
+void expect_pin(const ReadPin& pin, Time end,
+                const std::vector<std::pair<prof::Phase, Time>>& nonzero) {
+  EXPECT_EQ(pin.end, end);
+  std::array<Time, prof::kPhaseCount> want{};
+  for (const auto& [phase, total] : nonzero) {
+    want[static_cast<std::size_t>(phase)] = total;
+  }
+  for (std::size_t ph = 0; ph < prof::kPhaseCount; ++ph) {
+    EXPECT_EQ(pin.phases[ph], want[ph]) << prof::phase_name(prof::Phase(ph));
+  }
+}
+
+// Exact modeled cost of the read path. A change that means to move the
+// read model says so and updates these; any other change must keep them.
+TEST(CollReadPin, InterleavedFromPfs) {
+  expect_pin(pinned_strided_read("enable", false), 26025105,
+             {{prof::Phase::offset_exchange, 72280},
+              {prof::Phase::shuffle_all2all, 73144},
+              {prof::Phase::exchange, 89726359},
+              {prof::Phase::read_contig, 83109880},
+              {prof::Phase::post_write, 197217}});
+}
+
+TEST(CollReadPin, InterleavedFromCache) {
+  expect_pin(pinned_strided_read("enable", true), 5059215,
+             {{prof::Phase::offset_exchange, 72280},
+              {prof::Phase::shuffle_all2all, 73144},
+              {prof::Phase::exchange, 1762896},
+              {prof::Phase::read_contig, 1417664},
+              {prof::Phase::post_write, 196736}});
+}
+
+TEST(CollReadPin, DisabledCbReadFallback) {
+  expect_pin(pinned_strided_read("disable", false), 45018536,
+             {{prof::Phase::offset_exchange, 72280},
+              {prof::Phase::read_contig, 248871164}});
 }
 
 }  // namespace

@@ -181,6 +181,42 @@ TEST(CriticalPath, InnermostSpanWinsOnNesting) {
   EXPECT_EQ(category_ns(report, PathCategory::coordination), milliseconds(2));
 }
 
+TEST(CriticalPath, UnrelatedEmptySpansDoNotMoveAttribution) {
+  // Coincident spans of different categories (same begin, same end) on a
+  // lane that also carries `empties` zero-length spans. The empty spans
+  // cover no time, so the shuffle/coordination split must not depend on
+  // how many of them the lane holds.
+  const auto split = [](int empties) {
+    sim::Engine engine;
+    Tracer tracer(engine);
+    tracer.set_enabled(true);
+    CausalRecorder recorder(engine);
+    engine.spawn("p", [&] {
+      const int track = tracer.rank_track(0);
+      for (int i = 0; i < 24; ++i) {
+        {
+          Span outer(&tracer, track, "post_write");
+          Span inner(&tracer, track, "exchange");
+          engine.delay(milliseconds(1));
+        }
+        if (i < empties) Span empty(&tracer, track, "calc");
+        engine.delay(milliseconds(1));
+      }
+    });
+    engine.run();
+    const CriticalPathReport report =
+        analyze_critical_path(tracer, recorder, nullptr);
+    EXPECT_EQ(category_ns(report, PathCategory::shuffle) +
+                  category_ns(report, PathCategory::coordination),
+              milliseconds(24));
+    return category_ns(report, PathCategory::shuffle);
+  };
+  const Time none = split(0);
+  for (int empties = 1; empties <= 24; ++empties) {
+    EXPECT_EQ(split(empties), none) << empties << " empty spans";
+  }
+}
+
 TEST(CriticalPath, RankSkewFromTrackCompletionTimes) {
   sim::Engine engine;
   Tracer tracer(engine);
