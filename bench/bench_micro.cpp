@@ -90,6 +90,29 @@ void BM_MpiAlltoall(benchmark::State& state) {
 }
 BENCHMARK(BM_MpiAlltoall)->Arg(64)->Arg(512)->Unit(benchmark::kMillisecond);
 
+// The step-1 offset exchange of collective I/O: every rank contributes one
+// (start, end) pair and reads all p of them from the shared result.
+void BM_MpiAllgather(benchmark::State& state) {
+  const int ranks = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Engine engine;
+    net::Fabric fabric(static_cast<std::size_t>(ranks), net::FabricParams{});
+    mpi::World world(engine, fabric,
+                     mpi::Topology(static_cast<std::size_t>(ranks), 1));
+    world.launch([](mpi::Comm comm) {
+      for (int i = 0; i < 8; ++i) {
+        const auto all = comm.allgather(
+            std::make_pair(Offset{comm.rank()}, Offset{comm.rank() + 1}),
+            Offset{2} * sizeof(Offset));
+        benchmark::DoNotOptimize(all->back());
+      }
+    });
+    engine.run();
+  }
+  state.SetItemsProcessed(state.iterations() * 8 * ranks);
+}
+BENCHMARK(BM_MpiAllgather)->Arg(512)->Arg(4096)->Unit(benchmark::kMillisecond);
+
 void BM_MpiPingPong(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;

@@ -148,6 +148,10 @@ Status write_strided(AdioFile& fd, const std::vector<mpi::IoPiece>& pieces);
 Result<std::vector<DataView>> read_strided(AdioFile& fd,
                                            const std::vector<Extent>& wanted);
 
+/// Collective error agreement (ROMIO's error exchange): every rank returns
+/// the worst code any rank saw — its own status when it was the worst.
+Status agree_status(const mpi::Comm& comm, const Status& mine);
+
 /// Splits "driver:path" into (driver, bare path).
 std::pair<Driver, std::string> parse_driver_path(const std::string& path);
 

@@ -12,11 +12,8 @@ std::vector<int> select_aggregators(const mpi::Comm& comm, int cb_nodes,
   if (per_node_cap <= 0) {
     throw std::logic_error("select_aggregators: per_node_cap must be > 0");
   }
-  // Group ranks by node, in rank order.
-  std::map<std::size_t, std::vector<int>> by_node;
-  for (int r = 0; r < size; ++r) {
-    by_node[comm.node_of(r)].push_back(r);
-  }
+  // Ranks grouped by node, in rank order.
+  const std::map<std::size_t, std::vector<int>>& by_node = comm.node_table();
   const int nodes = static_cast<int>(by_node.size());
   // The cap limits both the per-node layers and the total pool.
   std::size_t max_layers = static_cast<std::size_t>(per_node_cap);

@@ -10,16 +10,6 @@ namespace e10::adio {
 
 namespace {
 
-/// Collective error agreement: everyone learns the worst error code.
-Status agree(const mpi::Comm& comm, const Status& mine) {
-  const int code = static_cast<int>(mine.code());
-  const int worst =
-      comm.allreduce(code, [](int a, int b) { return std::max(a, b); });
-  if (worst == 0) return Status::ok();
-  if (static_cast<int>(mine.code()) == worst) return mine;
-  return Status::error(static_cast<Errc>(worst), "error on a peer rank");
-}
-
 std::string cache_file_name(const Hints& hints, const std::string& path,
                             int rank) {
   std::string base = path;
@@ -28,6 +18,15 @@ std::string cache_file_name(const Hints& hints, const std::string& path,
 }
 
 }  // namespace
+
+Status agree_status(const mpi::Comm& comm, const Status& mine) {
+  const int code = static_cast<int>(mine.code());
+  const int worst =
+      comm.allreduce(code, [](int a, int b) { return std::max(a, b); });
+  if (worst == 0) return Status::ok();
+  if (code == worst) return mine;
+  return Status::error(static_cast<Errc>(worst), "error on a peer rank");
+}
 
 bool AdioFile::is_aggregator() const { return aggregator_index() >= 0; }
 
@@ -118,7 +117,7 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
     }
   }
 
-  const Status agreed = agree(comm, my_status);
+  const Status agreed = agree_status(comm, my_status);
   if (!agreed.is_ok()) {
     if (fd->handle != 0) (void)ctx.pfs.close(fd->handle);
     return agreed;
@@ -214,7 +213,7 @@ Status close(AdioFile& fd) {
   if (my_status.is_ok()) my_status = pfs_closed;
   fd.handle = 0;
 
-  Status agreed = agree(fd.comm, my_status);
+  Status agreed = agree_status(fd.comm, my_status);
 
   if ((fd.mode & amode::delete_on_close) != 0) {
     fd.comm.barrier();
@@ -235,7 +234,7 @@ Status flush(AdioFile& fd) {
   } else {
     my_status = fd.ctx->pfs.sync(fd.handle);
   }
-  const Status agreed = agree(fd.comm, my_status);
+  const Status agreed = agree_status(fd.comm, my_status);
   fd.comm.barrier();
   return agreed;
 }

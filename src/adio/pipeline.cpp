@@ -20,15 +20,6 @@ mpi::IoPiece part_of(const mpi::IoPiece& piece, const Extent& sub) {
 
 }  // namespace
 
-Status agree_status(const mpi::Comm& comm, const Status& mine) {
-  const int code = static_cast<int>(mine.code());
-  const int worst =
-      comm.allreduce(code, [](int a, int b) { return std::max(a, b); });
-  if (worst == 0) return Status::ok();
-  if (code == worst) return mine;
-  return Status::error(static_cast<Errc>(worst), "error on a peer rank");
-}
-
 template <typename T>
 std::optional<CollPlan<T>> plan_collective(AdioFile& fd, std::vector<T>& items,
                                            Toggle cb, bool two_level) {
@@ -60,7 +51,7 @@ std::optional<CollPlan<T>> plan_collective(AdioFile& fd, std::vector<T>& items,
   Offset prev_end = -1;
   Offset gmin = kNoOffset;
   Offset gmax = -1;
-  for (const auto& [start, end] : plan.all_offsets) {
+  for (const auto& [start, end] : *plan.all_offsets) {
     if (start == kNoOffset) continue;
     if (prev_end >= 0 && start < prev_end) interleaved = true;
     prev_end = std::max(prev_end, end);
@@ -102,16 +93,6 @@ template std::optional<CollPlan<Extent>> plan_collective(
     AdioFile&, std::vector<Extent>&, Toggle, bool);
 template std::optional<CollPlan<mpi::IoPiece>> plan_collective(
     AdioFile&, std::vector<mpi::IoPiece>&, Toggle, bool);
-
-RoundPlanner::RoundPlanner(const Extent& region, std::size_t aggregator_count,
-                           Offset cb_buffer_size, std::optional<Offset> align)
-    : cb_(cb_buffer_size) {
-  if (region.length <= 0 || aggregator_count == 0 || cb_ <= 0) return;
-  domains_ = partition_file_domains(region, aggregator_count, align);
-  for (const Extent& d : domains_) {
-    rounds_ = std::max(rounds_, (d.length + cb_ - 1) / cb_);
-  }
-}
 
 RoundPlanner::RoundPlanner(const Extent& region,
                            const std::vector<std::size_t>& aggregator_nodes,

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -39,18 +40,13 @@ namespace e10::adio {
 /// File-domain and round planning for one collective operation.
 class RoundPlanner {
  public:
-  /// `region` is the global access region [gmin, gmax); domains are
-  /// stripe-aligned when `align` is set (BeeGFS driver). An empty region
-  /// yields zero rounds and no domains.
-  RoundPlanner(const Extent& region, std::size_t aggregator_count,
-               Offset cb_buffer_size, std::optional<Offset> align);
-
-  /// Topology-aware overload for the two-level exchange (docs/two_level.md).
-  /// `aggregator_nodes[i]` is the node hosting aggregator i. With
-  /// `two_level` set and more than one distinct node, domains come from
-  /// partition_node_aware_domains (cb-block-quantized, node-grouped);
-  /// otherwise the plan is byte-identical to the flat constructor — the
-  /// disabled path reproduces flat behaviour bit-for-bit.
+  /// `region` is the global access region [gmin, gmax); an empty region
+  /// yields zero rounds and no domains. `aggregator_nodes[i]` is the node
+  /// hosting aggregator i. With `two_level` set and some node hosting more
+  /// than one aggregator, domains come from partition_node_aware_domains
+  /// (cb-block-quantized, node-grouped, docs/two_level.md); otherwise they
+  /// are the flat partition_file_domains split, stripe-aligned when
+  /// `align` is set (BeeGFS driver).
   RoundPlanner(const Extent& region,
                const std::vector<std::size_t>& aggregator_nodes,
                Offset cb_buffer_size, std::optional<Offset> align,
@@ -100,15 +96,12 @@ class RoundPlanner {
 /// Start and end a rank with no data reports in the step-1 allgather.
 inline constexpr Offset kNoOffset = std::numeric_limits<Offset>::max();
 
-/// Collective error agreement (ROMIO's error exchange): every rank returns
-/// the worst code any rank saw — its own status when it was the worst.
-Status agree_status(const mpi::Comm& comm, const Status& mine);
-
 /// What the shared prologue hands a direction's round loop.
 template <typename T>
 struct CollPlan {
   /// Step-1 (start, end) per rank; (kNoOffset, kNoOffset) means no data.
-  std::vector<std::pair<Offset, Offset>> all_offsets;
+  /// One buffer shared by every rank of the collective.
+  std::shared_ptr<const std::vector<std::pair<Offset, Offset>>> all_offsets;
   std::vector<Extent> domains;  // aggregator file domains
   /// This rank's items per round (one entry per round), by aggregator.
   std::vector<RoundPlan<T>> rounds;

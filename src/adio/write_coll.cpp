@@ -92,7 +92,7 @@ Status write_strided_coll(AdioFile& fd,
     PhaseScope scope(ctx, me, prof::Phase::post_write);
     return agree_status(comm, independent);
   }
-  const auto& all_offsets = planned->all_offsets;
+  const auto& all_offsets = *planned->all_offsets;
   const auto& domains = planned->domains;
   auto& plan = planned->rounds;
   const auto ntimes = static_cast<Offset>(plan.size());
@@ -259,8 +259,8 @@ Status write_strided_coll(AdioFile& fd,
       if (fd.is_aggregator() && nrecv > 0) {
         received.clear();
         for (std::size_t i = 0; i < nrecv; ++i) {
-          auto pieces = std::any_cast<std::vector<mpi::IoPiece>>(
-              requests[i].packet().payload);
+          auto pieces =
+              requests[i].take_payload<std::vector<mpi::IoPiece>>();
           received.insert(received.end(),
                           std::make_move_iterator(pieces.begin()),
                           std::make_move_iterator(pieces.end()));
@@ -314,9 +314,7 @@ Status write_strided_coll(AdioFile& fd,
       // Merge member buckets in ascending rank order; the leader (lowest
       // rank on the node) contributed first via the move above.
       for (mpi::Request& req : gathers) {
-        auto bucket =
-            std::any_cast<RoundPlan<mpi::IoPiece>>(req.packet().payload);
-        plan_merge(merged, std::move(bucket));
+        plan_merge(merged, req.take_payload<RoundPlan<mpi::IoPiece>>());
       }
     }
 
@@ -408,8 +406,7 @@ Status write_strided_coll(AdioFile& fd,
       received = std::move(local);
       for (std::size_t i = 0; i < manifests.size(); ++i) {
         manifests[i].wait();
-        auto [extra, pieces] =
-            std::any_cast<Manifest>(manifests[i].packet().payload);
+        auto [extra, pieces] = manifests[i].take_payload<Manifest>();
         received.insert(received.end(),
                         std::make_move_iterator(pieces.begin()),
                         std::make_move_iterator(pieces.end()));
@@ -420,8 +417,7 @@ Status write_strided_coll(AdioFile& fd,
         }
         mpi::Request::wait_all(extras);
         for (mpi::Request& req : extras) {
-          auto more =
-              std::any_cast<std::vector<mpi::IoPiece>>(req.packet().payload);
+          auto more = req.take_payload<std::vector<mpi::IoPiece>>();
           received.insert(received.end(),
                           std::make_move_iterator(more.begin()),
                           std::make_move_iterator(more.end()));

@@ -28,14 +28,22 @@ std::size_t Comm::node() const { return state_->node_of(rank_); }
 
 std::size_t Comm::node_of(int rank) const { return state_->node_of(rank); }
 
-int Comm::node_leader(int rank) const { return state_->node_leader(rank); }
+int Comm::node_leader(int rank) const {
+  return state_->node_table_.at(state_->node_of(rank)).front();
+}
 
-std::vector<int> Comm::node_ranks(std::size_t node) const {
-  return state_->node_ranks(node);
+const std::vector<int>& Comm::node_ranks(std::size_t node) const {
+  static const std::vector<int> kNone;
+  const auto it = state_->node_table_.find(node);
+  return it == state_->node_table_.end() ? kNone : it->second;
+}
+
+const std::map<std::size_t, std::vector<int>>& Comm::node_table() const {
+  return state_->node_table_;
 }
 
 std::size_t Comm::max_ranks_per_node() const {
-  return state_->max_ranks_per_node();
+  return state_->max_ranks_per_node_;
 }
 
 sim::Engine& Comm::engine() const { return state_->engine(); }
@@ -61,14 +69,7 @@ Packet Comm::recv(int src, int tag) const {
   return r.packet();
 }
 
-void Comm::barrier() const {
-  (void)run_collective(Kind::barrier, std::any(), 0);
-}
-
-std::shared_ptr<const std::vector<std::any>> Comm::run_collective(
-    Kind kind, std::any contribution, Offset bytes) const {
-  return state_->collective(rank_, kind, std::move(contribution), bytes);
-}
+void Comm::barrier() const { state_->barrier(rank_); }
 
 Comm Comm::split(int color, int key) const {
   int new_rank = -1;
@@ -99,6 +100,11 @@ CommState::CommState(sim::Engine& engine, net::Fabric& fabric,
   if (rank_nodes_.empty()) {
     throw std::logic_error("CommState with zero ranks");
   }
+  for (std::size_t r = 0; r < rank_nodes_.size(); ++r) {
+    std::vector<int>& ranks = node_table_[rank_nodes_[r]];
+    ranks.push_back(static_cast<int>(r));
+    max_ranks_per_node_ = std::max(max_ranks_per_node_, ranks.size());
+  }
 }
 
 std::size_t CommState::node_of(int rank) const {
@@ -106,30 +112,6 @@ std::size_t CommState::node_of(int rank) const {
     throw std::logic_error("CommState::node_of: rank out of range");
   }
   return rank_nodes_[static_cast<std::size_t>(rank)];
-}
-
-int CommState::node_leader(int rank) const {
-  const std::size_t node = node_of(rank);
-  for (int r = 0; r <= rank; ++r) {
-    if (rank_nodes_[static_cast<std::size_t>(r)] == node) return r;
-  }
-  return rank;  // unreachable: rank itself is on the node
-}
-
-std::vector<int> CommState::node_ranks(std::size_t node) const {
-  std::vector<int> out;
-  for (int r = 0; r < size(); ++r) {
-    if (rank_nodes_[static_cast<std::size_t>(r)] == node) out.push_back(r);
-  }
-  return out;
-}
-
-std::size_t CommState::max_ranks_per_node() const {
-  std::map<std::size_t, std::size_t> counts;
-  for (const std::size_t node : rank_nodes_) ++counts[node];
-  std::size_t best = 0;
-  for (const auto& [node, count] : counts) best = std::max(best, count);
-  return best;
 }
 
 bool CommState::matches(const PendingRecv& recv, const Packet& packet) {
@@ -245,12 +227,10 @@ Time CommState::collective_cost(Comm::Kind kind, Offset max_bytes) const {
     case Comm::Kind::barrier:
       return stages * params_.coll_alpha;
     case Comm::Kind::allreduce:
-    case Comm::Kind::reduce:
       return stages * (params_.coll_alpha + ser(max_bytes));
     case Comm::Kind::bcast:
       return stages * params_.coll_alpha + ser(max_bytes);
     case Comm::Kind::allgather:
-    case Comm::Kind::gather:
       return stages * params_.coll_alpha + ser(max_bytes * size());
     case Comm::Kind::alltoall:
       // max_bytes is already the per-rank total (bytes_each * p).
@@ -271,8 +251,13 @@ CommState::CollOp& CommState::collective_slot(int rank, Comm::Kind kind) {
     throw std::logic_error("collective sequence gap on comm '" + name_ + "'");
   }
   if (idx == coll_ops_.size()) {
-    coll_ops_.emplace_back(engine_);
-    coll_ops_.back().kind = kind;
+    CollOp& created = coll_ops_.emplace_back(engine_);
+    created.kind = kind;
+    if (kind == Comm::Kind::alltoall && !entries_pool_.empty()) {
+      created.entries = std::move(entries_pool_.back());
+      entries_pool_.pop_back();
+      created.entries.clear();
+    }
     ++coll_ops_started_;
   }
   CollOp& op = coll_ops_[idx];
@@ -284,44 +269,21 @@ CommState::CollOp& CommState::collective_slot(int rank, Comm::Kind kind) {
   return op;
 }
 
-void CommState::complete_arrival(CollOp& op, Offset bytes) {
+bool CommState::complete_arrival(CollOp& op, Offset bytes) {
   op.max_arrival = std::max(op.max_arrival, engine_.now());
   op.max_bytes = std::max(op.max_bytes, bytes);
-  ++op.arrived;
-  if (op.arrived == static_cast<std::size_t>(size())) {
-    // Last arriver: everyone leaves at max arrival + modeled tree cost.
-    const Time release =
-        op.max_arrival + collective_cost(op.kind, op.max_bytes);
-    if (op.kind == Comm::Kind::alltoall) {
-      // Group every deposit by destination once; each rank then takes its
-      // own group, ascending by source.
-      std::sort(op.entries.begin(), op.entries.end(),
-                [](const A2aEntry& a, const A2aEntry& b) {
-                  return std::tie(a.dst, a.src) < std::tie(b.dst, b.src);
-                });
-      const auto dup = std::adjacent_find(
-          op.entries.begin(), op.entries.end(),
-          [](const A2aEntry& a, const A2aEntry& b) {
-            return a.dst == b.dst && a.src == b.src;
-          });
-      if (dup != op.entries.end()) {
-        throw std::logic_error("alltoall: rank " + std::to_string(dup->src) +
-                               " sent to rank " + std::to_string(dup->dst) +
-                               " twice");
-      }
-    } else {
-      op.result = std::make_shared<std::vector<std::any>>(
-          std::move(op.contributions));
-    }
-    // Every released participant was gated on the last arriver — the
-    // collective straggler edge the critical-path walk follows.
-    if (sim::CausalObserver* causal = engine_.causal_observer();
-        causal != nullptr && engine_.in_process()) {
-      op.cause = causal->emit(sim::EdgeKind::collective, engine_.current(),
-                              release);
-    }
-    op.release.set_at(release);
+  if (++op.arrived < static_cast<std::size_t>(size())) return false;
+  // Last arriver: everyone leaves at max arrival + modeled tree cost.
+  const Time release = op.max_arrival + collective_cost(op.kind, op.max_bytes);
+  // Every released participant was gated on the last arriver — the
+  // collective straggler edge the critical-path walk follows.
+  if (sim::CausalObserver* causal = engine_.causal_observer();
+      causal != nullptr && engine_.in_process()) {
+    op.cause = causal->emit(sim::EdgeKind::collective, engine_.current(),
+                            release);
   }
+  op.release.set_at(release);
+  return true;
 }
 
 void CommState::await_release(CollOp& op) {
@@ -347,26 +309,26 @@ void CommState::depart(CollOp& op) {
   }
 }
 
-CommState::CollOp& CommState::join_alltoall(int rank) {
-  CollOp& op = collective_slot(rank, Comm::Kind::alltoall);
-  if (op.arrived == 0 && !entries_pool_.empty()) {
-    op.entries = std::move(entries_pool_.back());
-    entries_pool_.pop_back();
-    op.entries.clear();
-  }
-  return op;
-}
-
-void CommState::deposit(CollOp& op, int rank, int dst, std::size_t value) {
-  if (dst < 0 || dst >= size()) {
-    throw std::logic_error("alltoall: destination rank out of range");
-  }
-  op.entries.push_back(A2aEntry{rank, dst, value});
-}
-
 std::pair<std::size_t, std::size_t> CommState::arrive_alltoall(
     CollOp& op, int rank, Offset bytes_each) {
-  complete_arrival(op, bytes_each * size());
+  if (complete_arrival(op, bytes_each * size())) {
+    // Group every deposit by destination once; each rank then takes its
+    // own group, ascending by source.
+    std::sort(op.entries.begin(), op.entries.end(),
+              [](const A2aEntry& a, const A2aEntry& b) {
+                return std::tie(a.dst, a.src) < std::tie(b.dst, b.src);
+              });
+    const auto dup = std::adjacent_find(
+        op.entries.begin(), op.entries.end(),
+        [](const A2aEntry& a, const A2aEntry& b) {
+          return a.dst == b.dst && a.src == b.src;
+        });
+    if (dup != op.entries.end()) {
+      throw std::logic_error("alltoall: rank " + std::to_string(dup->src) +
+                             " sent to rank " + std::to_string(dup->dst) +
+                             " twice");
+    }
+  }
   await_release(op);
   const auto [first, last] = std::equal_range(
       op.entries.begin(), op.entries.end(), A2aEntry{0, rank, 0},
@@ -375,18 +337,11 @@ std::pair<std::size_t, std::size_t> CommState::arrive_alltoall(
           static_cast<std::size_t>(last - op.entries.begin())};
 }
 
-std::shared_ptr<const std::vector<std::any>> CommState::collective(
-    int rank, Comm::Kind kind, std::any contribution, Offset bytes) {
-  CollOp& op = collective_slot(rank, kind);
-  if (op.arrived == 0) {
-    op.contributions.resize(static_cast<std::size_t>(size()));
-  }
-  op.contributions[static_cast<std::size_t>(rank)] = std::move(contribution);
-  complete_arrival(op, bytes);
+void CommState::barrier(int rank) {
+  CollOp& op = collective_slot(rank, Comm::Kind::barrier);
+  (void)complete_arrival(op, 0);
   await_release(op);
-  std::shared_ptr<const std::vector<std::any>> result = op.result;
   depart(op);
-  return result;
 }
 
 std::shared_ptr<CommState> CommState::split_child(int caller_rank, int color,
@@ -394,9 +349,9 @@ std::shared_ptr<CommState> CommState::split_child(int caller_rank, int color,
   // The collective sequence number identifies this split so that all ranks
   // agree on which child registry entry to use.
   const std::uint64_t gen = coll_seq_[static_cast<std::size_t>(caller_rank)];
-  const auto contribs = collective(
-      caller_rank, Comm::Kind::allgather,
-      std::any(std::tuple<int, int>(color, key)), sizeof(int) * 2);
+  const auto colors_keys =
+      collect(caller_rank, Comm::Kind::allgather, std::pair(color, key),
+              sizeof(int) * 2, [](std::vector<std::pair<int, int>>&) {});
 
   if (color < 0) {  // MPI_UNDEFINED-style: caller not in any child
     *new_rank = -1;
@@ -406,8 +361,7 @@ std::shared_ptr<CommState> CommState::split_child(int caller_rank, int color,
   // Deterministic membership: ranks with my color, ordered by (key, rank).
   std::vector<std::pair<int, int>> members;  // (key, old rank)
   for (int r = 0; r < size(); ++r) {
-    const auto [c, k] =
-        std::any_cast<const std::tuple<int, int>&>((*contribs)[static_cast<std::size_t>(r)]);
+    const auto [c, k] = (*colors_keys)[static_cast<std::size_t>(r)];
     if (c == color) members.emplace_back(k, r);
   }
   std::sort(members.begin(), members.end());
@@ -435,7 +389,7 @@ std::shared_ptr<CommState> CommState::split_child(int caller_rank, int color,
 
 std::shared_ptr<CommState> CommState::dup_child(int caller_rank) {
   const std::uint64_t gen = coll_seq_[static_cast<std::size_t>(caller_rank)];
-  (void)collective(caller_rank, Comm::Kind::barrier, std::any(), 0);
+  barrier(caller_rank);
   auto& registry = children_[gen];
   auto it = registry.find(0);
   if (it == registry.end()) {

@@ -7,17 +7,23 @@
 // max(arrival) + an analytic tree cost — precisely the global-
 // synchronisation behaviour the paper identifies as collective I/O's
 // bottleneck (a slow rank delays everyone).
+//
+// Every rank runs in one address space, so a collective's data is single-
+// copy: each rank moves its value into one typed std::vector<T> per
+// operation, and the last rank to arrive seals it once — allreduce folds
+// it in rank order, alltoall groups it by destination. allgather hands the
+// buffer itself to every rank; nothing is boxed or copied per rank.
 #pragma once
 
 #include <any>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -61,7 +67,10 @@ class Comm {
   [[nodiscard]] int node_leader(int rank) const;
   /// Ranks of this communicator hosted on `node`, ascending. Empty when the
   /// communicator has no rank there.
-  [[nodiscard]] std::vector<int> node_ranks(std::size_t node) const;
+  [[nodiscard]] const std::vector<int>& node_ranks(std::size_t node) const;
+  /// node -> node_ranks for every node hosting a rank of this communicator.
+  [[nodiscard]] const std::map<std::size_t, std::vector<int>>& node_table()
+      const;
   /// Largest number of this communicator's ranks sharing one node (1 means
   /// an intra-node gather stage has nothing to gather).
   [[nodiscard]] std::size_t max_ranks_per_node() const;
@@ -84,24 +93,15 @@ class Comm {
 
   void barrier() const;
 
+  /// `op` folded over every rank's value in rank order 0..p-1. The last
+  /// rank to arrive runs the p-1 calls once; everyone gets the result.
   template <typename T, typename BinaryOp>
-  T allreduce(const T& value, BinaryOp op, Offset bytes = sizeof(T)) const {
-    auto contribs = run_collective(Kind::allreduce, std::any(value), bytes);
-    T acc = std::any_cast<const T&>((*contribs)[0]);
-    for (std::size_t i = 1; i < contribs->size(); ++i) {
-      acc = op(acc, std::any_cast<const T&>((*contribs)[i]));
-    }
-    return acc;
-  }
+  T allreduce(T value, BinaryOp op, Offset bytes = sizeof(T)) const;
 
+  /// Every rank's value, indexed by rank, in one buffer all ranks share.
   template <typename T>
-  std::vector<T> allgather(const T& value, Offset bytes = sizeof(T)) const {
-    auto contribs = run_collective(Kind::allgather, std::any(value), bytes);
-    std::vector<T> out;
-    out.reserve(contribs->size());
-    for (const std::any& a : *contribs) out.push_back(std::any_cast<const T&>(a));
-    return out;
-  }
+  std::shared_ptr<const std::vector<T>> allgather(
+      T value, Offset bytes = sizeof(T)) const;
 
   /// Sparse alltoall. `send` holds this rank's (destination rank, value)
   /// pairs, destinations unique; the values are moved out of it (the
@@ -118,34 +118,7 @@ class Comm {
                 Offset bytes_each = sizeof(T)) const;
 
   template <typename T>
-  T bcast(const T& value, int root, Offset bytes = sizeof(T)) const {
-    auto contribs = run_collective(Kind::bcast, std::any(value), bytes);
-    return std::any_cast<const T&>((*contribs)[static_cast<std::size_t>(root)]);
-  }
-
-  /// Root receives everyone's value (rank order); non-roots get empty.
-  template <typename T>
-  std::vector<T> gather(const T& value, int root,
-                        Offset bytes = sizeof(T)) const {
-    auto contribs = run_collective(Kind::gather, std::any(value), bytes);
-    if (rank_ != root) return {};
-    std::vector<T> out;
-    out.reserve(contribs->size());
-    for (const std::any& a : *contribs) out.push_back(std::any_cast<const T&>(a));
-    return out;
-  }
-
-  template <typename T, typename BinaryOp>
-  T reduce(const T& value, BinaryOp op, int root,
-           Offset bytes = sizeof(T)) const {
-    auto contribs = run_collective(Kind::reduce, std::any(value), bytes);
-    if (rank_ != root) return T{};
-    T acc = std::any_cast<const T&>((*contribs)[0]);
-    for (std::size_t i = 1; i < contribs->size(); ++i) {
-      acc = op(acc, std::any_cast<const T&>((*contribs)[i]));
-    }
-    return acc;
-  }
+  T bcast(T value, int root, Offset bytes = sizeof(T)) const;
 
   /// MPI_Comm_split: ranks with equal color form a new communicator, ordered
   /// by (key, old rank).
@@ -157,15 +130,10 @@ class Comm {
  private:
   friend class World;
   friend class CommState;
-  enum class Kind { barrier, allreduce, allgather, alltoall, bcast, gather, reduce };
+  enum class Kind { barrier, allreduce, allgather, alltoall, bcast };
 
   Comm(std::shared_ptr<CommState> state, int rank)
       : state_(std::move(state)), rank_(rank) {}
-
-  /// Deposits this rank's contribution and blocks until all ranks arrive;
-  /// returns the full contribution vector indexed by rank.
-  std::shared_ptr<const std::vector<std::any>> run_collective(
-      Kind kind, std::any contribution, Offset bytes) const;
 
   std::shared_ptr<CommState> state_;
   int rank_ = -1;
@@ -182,15 +150,21 @@ class CommState {
   sim::Engine& engine() { return engine_; }
   const std::string& name() const { return name_; }
   std::size_t node_of(int rank) const;
-  [[nodiscard]] int node_leader(int rank) const;
-  [[nodiscard]] std::vector<int> node_ranks(std::size_t node) const;
-  [[nodiscard]] std::size_t max_ranks_per_node() const;
 
   Request isend(int src, int dst, int tag, std::any payload, Offset bytes);
   Request irecv(int dst, int src, int tag);
 
-  std::shared_ptr<const std::vector<std::any>> collective(
-      int rank, Comm::Kind kind, std::any contribution, Offset bytes);
+  /// Joins `rank`'s next collective as a barrier; nothing is deposited.
+  void barrier(int rank);
+
+  /// Joins `rank`'s next collective of `kind`, moves `value` into the
+  /// rank's slot of the op's buffer and waits for the release. The last
+  /// arriver first runs seal(std::vector<T>&) on the full buffer. Returns
+  /// the buffer, shared by every rank.
+  template <typename T, typename Seal>
+  std::shared_ptr<const std::vector<T>> collect(int rank, Comm::Kind kind,
+                                                T value, Offset bytes,
+                                                Seal seal);
 
   std::shared_ptr<CommState> split_child(int caller_rank, int color, int key,
                                          int* new_rank);
@@ -202,7 +176,7 @@ class CommState {
   std::uint64_t collectives() const { return coll_ops_started_; }
 
  private:
-  friend class Comm;  // Comm::alltoall keeps the typed half of the op
+  friend class Comm;  // node queries; Comm::alltoall fills the op's buffer
 
   struct PendingMsg {
     Packet packet;
@@ -228,38 +202,41 @@ class CommState {
 
   struct CollOp {
     explicit CollOp(sim::Engine& engine) : release(engine) {}
-    std::vector<std::any> contributions;
+    /// The op's one typed buffer, a std::vector<value_type> (null for a
+    /// barrier): one slot per rank, or one value per alltoall deposit.
+    std::shared_ptr<void> values;
+    const std::type_info* value_type = nullptr;
     /// Alltoall only: every rank's deposits, grouped by (dst, src) once
-    /// the last rank arrives, and the std::vector<T> they index into.
+    /// the last rank arrives.
     std::vector<A2aEntry> entries;
-    std::any values;
     std::size_t arrived = 0;
     std::size_t departed = 0;
     Time max_arrival = 0;
     Offset max_bytes = 0;
     Comm::Kind kind = Comm::Kind::barrier;
     sim::SimEvent release;
-    std::shared_ptr<std::vector<std::any>> result;
     sim::CausalToken cause = 0;  // last arriver's release emission
   };
 
   static bool matches(const PendingRecv& recv, const Packet& packet);
   Time collective_cost(Comm::Kind kind, Offset max_bytes) const;
   /// Finds or creates the caller's next collective slot (advancing its
-  /// sequence number) and checks operation agreement across ranks.
+  /// sequence number) and checks operation agreement across ranks. A new
+  /// alltoall takes its entry list from the pool.
   CollOp& collective_slot(int rank, Comm::Kind kind);
+  /// The op's buffer as a std::vector<T>, created by the first depositor;
+  /// throws when ranks deposit different types.
+  template <typename T>
+  std::vector<T>& typed_values(CollOp& op);
   /// Arrival bookkeeping after the caller deposited its contribution; the
-  /// last arriver schedules the release and seals the result.
-  void complete_arrival(CollOp& op, Offset bytes);
+  /// last arriver schedules the release and returns true — it must seal
+  /// the op's buffer before it next blocks.
+  bool complete_arrival(CollOp& op, Offset bytes);
   /// Blocks until the op releases; records the straggler causal edge.
   void await_release(CollOp& op);
   /// Departure bookkeeping: the last leaver retires the op (ops retire
   /// strictly in sequence order, so only the deque front ever pops).
   void depart(CollOp& op);
-  /// Joins the caller's next collective as an alltoall.
-  CollOp& join_alltoall(int rank);
-  /// Records one (rank -> dst) deposit at `value` in the typed buffer.
-  void deposit(CollOp& op, int rank, int dst, std::size_t value);
   /// Arrives (the last arriver groups every deposit by destination and
   /// rejects a duplicate destination) and waits for the release. Returns
   /// the caller's group as an index range into op.entries, ascending by
@@ -270,6 +247,9 @@ class CommState {
   sim::Engine& engine_;
   net::Fabric& fabric_;
   std::vector<std::size_t> rank_nodes_;
+  // Node -> ranks (ascending) table, built once by the constructor.
+  std::map<std::size_t, std::vector<int>> node_table_;
+  std::size_t max_ranks_per_node_ = 0;
   MpiParams params_;
   std::string name_;
   std::vector<RankQueues> queues_;
@@ -291,25 +271,79 @@ class CommState {
 };
 
 template <typename T>
+std::vector<T>& CommState::typed_values(CollOp& op) {
+  if (op.values == nullptr) {
+    op.values = std::make_shared<std::vector<T>>();
+    op.value_type = &typeid(T);
+  } else if (*op.value_type != typeid(T)) {
+    throw std::logic_error("collective on comm '" + name_ +
+                           "': ranks passed different value types");
+  }
+  return *static_cast<std::vector<T>*>(op.values.get());
+}
+
+template <typename T, typename Seal>
+std::shared_ptr<const std::vector<T>> CommState::collect(int rank,
+                                                         Comm::Kind kind,
+                                                         T value, Offset bytes,
+                                                         Seal seal) {
+  CollOp& op = collective_slot(rank, kind);
+  std::vector<T>& slots = typed_values<T>(op);
+  if (slots.empty()) slots.resize(static_cast<std::size_t>(size()));
+  slots[static_cast<std::size_t>(rank)] = std::move(value);
+  if (complete_arrival(op, bytes)) seal(slots);
+  await_release(op);
+  auto result = std::static_pointer_cast<const std::vector<T>>(op.values);
+  depart(op);
+  return result;
+}
+
+template <typename T, typename BinaryOp>
+T Comm::allreduce(T value, BinaryOp op, Offset bytes) const {
+  return state_
+      ->collect(rank_, Kind::allreduce, std::move(value), bytes,
+                [&op](std::vector<T>& all) {
+                  for (std::size_t i = 1; i < all.size(); ++i) {
+                    all[0] = op(all[0], all[i]);
+                  }
+                })
+      ->front();
+}
+
+template <typename T>
+std::shared_ptr<const std::vector<T>> Comm::allgather(T value,
+                                                      Offset bytes) const {
+  return state_->collect(rank_, Kind::allgather, std::move(value), bytes,
+                         [](std::vector<T>&) {});
+}
+
+template <typename T>
+T Comm::bcast(T value, int root, Offset bytes) const {
+  return state_
+      ->collect(rank_, Kind::bcast, std::move(value), bytes,
+                [](std::vector<T>&) {})
+      ->at(static_cast<std::size_t>(root));
+}
+
+template <typename T>
 void Comm::alltoall(std::vector<std::pair<int, T>>&& send,
                     std::type_identity_t<std::vector<std::pair<int, T>>>* recv,
                     Offset bytes_each) const {
-  CommState::CollOp& op = state_->join_alltoall(rank_);
-  if (!op.values.has_value()) op.values = std::vector<T>();
-  auto* values = std::any_cast<std::vector<T>>(&op.values);
-  if (values == nullptr) {
-    throw std::logic_error("alltoall: ranks passed different value types");
-  }
+  CommState::CollOp& op = state_->collective_slot(rank_, Kind::alltoall);
+  std::vector<T>& values = state_->typed_values<T>(op);
   for (auto& [dst, value] : send) {
-    state_->deposit(op, rank_, dst, values->size());
-    values->push_back(std::move(value));
+    if (dst < 0 || dst >= size()) {
+      throw std::logic_error("alltoall: destination rank out of range");
+    }
+    op.entries.push_back(CommState::A2aEntry{rank_, dst, values.size()});
+    values.push_back(std::move(value));
   }
   const auto [first, last] = state_->arrive_alltoall(op, rank_, bytes_each);
   if (recv != nullptr) {
     recv->clear();
     for (std::size_t i = first; i < last; ++i) {
       const CommState::A2aEntry& entry = op.entries[i];
-      recv->emplace_back(entry.src, std::move((*values)[entry.value]));
+      recv->emplace_back(entry.src, std::move(values[entry.value]));
     }
   }
   state_->depart(op);

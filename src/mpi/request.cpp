@@ -21,7 +21,7 @@ bool Request::test() const {
   return state_->done.is_set();
 }
 
-const Packet& Request::packet() const {
+Packet& Request::delivered() const {
   if (!valid() || !state_->has_packet) {
     throw std::logic_error("Request::packet: no delivered packet");
   }

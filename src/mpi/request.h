@@ -6,6 +6,7 @@
 
 #include <any>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -42,7 +43,15 @@ class [[nodiscard]] Request {
   [[nodiscard]] bool test() const;
 
   /// For completed receive requests: the delivered packet.
-  const Packet& packet() const;
+  const Packet& packet() const { return delivered(); }
+
+  /// For completed receive requests: moves the delivered payload out as a
+  /// T (std::bad_any_cast for another type); the packet keeps only the
+  /// moved-from value.
+  template <typename T>
+  T take_payload() {
+    return std::any_cast<T>(std::move(delivered().payload));
+  }
 
   /// Creates a generalized request (MPI_Grequest_start): completed later by
   /// complete() / complete_at().
@@ -72,6 +81,9 @@ class [[nodiscard]] Request {
   };
 
   explicit Request(std::shared_ptr<State> state) : state_(std::move(state)) {}
+
+  /// The delivered packet; throws when there is none.
+  Packet& delivered() const;
 
   std::shared_ptr<State> state_;
 };

@@ -53,11 +53,6 @@ class Topology {
     return out;
   }
 
-  /// Ranks hosted on `node`, in rank order.
-  [[nodiscard]] std::vector<int> ranks_on(std::size_t node) const {
-    return node_ranks(node);
-  }
-
  private:
   std::size_t nodes_;
   std::size_t ranks_per_node_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <tuple>
 #include <vector>
 
@@ -19,6 +20,13 @@ using namespace e10::units;
 
 using Window = std::tuple<Offset, std::size_t, Offset, Offset>;
 
+/// Aggregator nodes for `count` aggregators, one per node: the flat plan.
+std::vector<std::size_t> one_per_node(std::size_t count) {
+  std::vector<std::size_t> nodes(count);
+  std::iota(nodes.begin(), nodes.end(), std::size_t{0});
+  return nodes;
+}
+
 std::vector<Window> collect(RoundPlanner& planner,
                             const std::vector<Extent>& extents) {
   std::vector<Window> out;
@@ -31,20 +39,23 @@ std::vector<Window> collect(RoundPlanner& planner,
 }
 
 TEST(RoundPlanner, EmptyRegionHasNoRoundsAndNoDomains) {
-  RoundPlanner planner(Extent{0, 0}, 4, 1 * MiB, std::nullopt);
+  RoundPlanner planner(Extent{0, 0}, one_per_node(4), 1 * MiB,
+                       std::nullopt, /*two_level=*/false);
   EXPECT_EQ(planner.rounds(), 0);
   EXPECT_TRUE(planner.domains().empty());
 }
 
 TEST(RoundPlanner, ZeroLengthExtentEmitsNothing) {
-  RoundPlanner planner(Extent{0, 4 * MiB}, 2, 1 * MiB, std::nullopt);
+  RoundPlanner planner(Extent{0, 4 * MiB}, one_per_node(2), 1 * MiB,
+                       std::nullopt, /*two_level=*/false);
   const auto windows = collect(planner, {Extent{64, 0}, Extent{2 * MiB, 0}});
   EXPECT_TRUE(windows.empty());
 }
 
 TEST(RoundPlanner, SingleAggregatorOwnsEveryRound) {
   // One domain covering the region: rounds = ceil(len / cb).
-  RoundPlanner planner(Extent{0, 10 * MiB}, 1, 4 * MiB, std::nullopt);
+  RoundPlanner planner(Extent{0, 10 * MiB}, one_per_node(1), 4 * MiB,
+                       std::nullopt, /*two_level=*/false);
   ASSERT_EQ(planner.domains().size(), 1u);
   EXPECT_EQ(planner.rounds(), 3);
   const auto windows = collect(planner, {Extent{0, 10 * MiB}});
@@ -56,12 +67,14 @@ TEST(RoundPlanner, SingleAggregatorOwnsEveryRound) {
 
 TEST(RoundPlanner, SingleRoundWhenBufferCoversTheDomain) {
   // cb >= domain size: the pipeline degenerates to one round.
-  RoundPlanner planner(Extent{0, 8 * MiB}, 4, 16 * MiB, std::nullopt);
+  RoundPlanner planner(Extent{0, 8 * MiB}, one_per_node(4), 16 * MiB,
+                       std::nullopt, /*two_level=*/false);
   EXPECT_EQ(planner.rounds(), 1);
 }
 
 TEST(RoundPlanner, WindowsPartitionTheInputExactly) {
-  RoundPlanner planner(Extent{3, 1000000}, 3, 65536, std::nullopt);
+  RoundPlanner planner(Extent{3, 1000000}, one_per_node(3), 65536,
+                       std::nullopt, /*two_level=*/false);
   const auto windows = collect(planner, {Extent{3, 1000000}});
   Offset cursor = 3;
   Offset total = 0;
@@ -81,7 +94,8 @@ TEST(RoundPlanner, WindowsPartitionTheInputExactly) {
 
 TEST(RoundPlanner, HoleHeavyPatternKeepsRoundAndDomainMaths) {
   // Sparse extents with large holes; cursor must skip domains cleanly.
-  RoundPlanner planner(Extent{0, 64 * MiB}, 4, 4 * MiB, std::nullopt);
+  RoundPlanner planner(Extent{0, 64 * MiB}, one_per_node(4), 4 * MiB,
+                       std::nullopt, /*two_level=*/false);
   ASSERT_EQ(planner.domains().size(), 4u);
   std::vector<Extent> sparse;
   for (Offset off = 0; off < 64 * MiB; off += 8 * MiB) {
@@ -99,7 +113,8 @@ TEST(RoundPlanner, HoleHeavyPatternKeepsRoundAndDomainMaths) {
 }
 
 TEST(RoundPlanner, RewindAllowsASecondSortedPass) {
-  RoundPlanner planner(Extent{0, 8 * MiB}, 2, 1 * MiB, std::nullopt);
+  RoundPlanner planner(Extent{0, 8 * MiB}, one_per_node(2), 1 * MiB,
+                       std::nullopt, /*two_level=*/false);
   const auto first = collect(planner, {Extent{5 * MiB, 1 * MiB}});
   planner.rewind();
   const auto second = collect(planner, {Extent{1 * MiB, 1 * MiB}});
@@ -122,7 +137,8 @@ TEST(RoundPlanner, MatchesTheLegacyPlanningLoop) {
         Extent{off, std::min<Offset>(1 * MiB + 13, region.end() - off)});
   }
 
-  RoundPlanner planner(region, aggregators, cb, align);
+  RoundPlanner planner(region, one_per_node(aggregators), cb,
+                       align, /*two_level=*/false);
   const auto windows = collect(planner, extents);
 
   const std::vector<Extent> domains =
@@ -157,7 +173,8 @@ TEST(RoundPlanner, NodeAwarePlanIsFlatWhenDisabled) {
   // e10_two_level_flag=disable must reproduce the flat plan bit-for-bit.
   const Extent region{4097, 33 * MiB + 131};
   const std::vector<std::size_t> nodes{0, 0, 1, 1, 2};  // rpn > 1
-  RoundPlanner flat(region, nodes.size(), 3 * MiB, std::nullopt);
+  RoundPlanner flat(region, one_per_node(nodes.size()), 3 * MiB,
+                    std::nullopt, /*two_level=*/false);
   RoundPlanner off(region, nodes, 3 * MiB, std::nullopt, /*two_level=*/false);
   EXPECT_EQ(off.domains(), flat.domains());
   EXPECT_EQ(off.rounds(), flat.rounds());
@@ -168,7 +185,8 @@ TEST(RoundPlanner, NodeAwarePlanIsFlatWithOneRankPerNode) {
   // two-level constructor must fall back to the flat split.
   const Extent region{0, 17 * MiB + 513};
   const std::vector<std::size_t> nodes{0, 1, 2, 3};
-  RoundPlanner flat(region, nodes.size(), 4 * MiB, std::nullopt);
+  RoundPlanner flat(region, one_per_node(nodes.size()), 4 * MiB,
+                    std::nullopt, /*two_level=*/false);
   RoundPlanner two(region, nodes, 4 * MiB, std::nullopt, /*two_level=*/true);
   EXPECT_EQ(two.domains(), flat.domains());
   EXPECT_EQ(two.rounds(), flat.rounds());
@@ -179,7 +197,8 @@ TEST(RoundPlanner, NodeAwarePlanDelegatesToStripeAlignmentWhenSet) {
   // node grouping (no stripe false-sharing trumps locality).
   const Extent region{4097, 33 * MiB + 131};
   const std::vector<std::size_t> nodes{0, 0, 0, 1, 1};
-  RoundPlanner flat(region, nodes.size(), 3 * MiB, 4 * MiB);
+  RoundPlanner flat(region, one_per_node(nodes.size()), 3 * MiB,
+                    4 * MiB, /*two_level=*/false);
   RoundPlanner two(region, nodes, 3 * MiB, 4 * MiB, /*two_level=*/true);
   EXPECT_EQ(two.domains(), flat.domains());
   EXPECT_EQ(two.rounds(), flat.rounds());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -60,7 +61,7 @@ TEST(Collectives, AllgatherOrderedByRank) {
   std::vector<std::vector<int>> results(8);
   f.world.launch([&](Comm comm) {
     results[static_cast<std::size_t>(comm.rank())] =
-        comm.allgather(comm.rank() * comm.rank());
+        *comm.allgather(comm.rank() * comm.rank());
   });
   f.engine.run();
   for (const auto& v : results) {
@@ -214,30 +215,59 @@ TEST(Collectives, BcastDeliversRootValue) {
   for (const auto& s : results) EXPECT_EQ(s, "root-data");
 }
 
-TEST(Collectives, GatherOnlyRootReceives) {
-  Fixture f(4, 1);
-  std::vector<std::vector<int>> results(4);
+TEST(Collectives, AllreduceFoldsOnceInRankOrder) {
+  // A non-commutative op that counts its calls: the fold runs once, over
+  // ranks 0..p-1 in order, whatever order the ranks arrive in.
+  constexpr int kRanks = 6;
+  Fixture f(kRanks, 1);
+  int calls = 0;
+  std::vector<std::string> results(kRanks);
   f.world.launch([&](Comm comm) {
-    results[static_cast<std::size_t>(comm.rank())] =
-        comm.gather(comm.rank() + 1, /*root=*/0);
+    comm.engine().delay(microseconds(kRanks - comm.rank()));
+    results[static_cast<std::size_t>(comm.rank())] = comm.allreduce(
+        std::to_string(comm.rank()),
+        [&calls](const std::string& a, const std::string& b) {
+          ++calls;
+          return a + b;
+        },
+        8);
   });
   f.engine.run();
-  EXPECT_EQ(results[0], (std::vector<int>{1, 2, 3, 4}));
-  for (int r = 1; r < 4; ++r) {
-    EXPECT_TRUE(results[static_cast<std::size_t>(r)].empty());
-  }
+  EXPECT_EQ(calls, kRanks - 1);
+  for (const std::string& s : results) EXPECT_EQ(s, "012345");
 }
 
-TEST(Collectives, ReduceOnlyRootGetsValue) {
-  Fixture f(4, 1);
-  std::vector<int> results(4, -1);
+TEST(Collectives, AllgatherSharesOneBuffer) {
+  Fixture f(4, 2);
+  std::vector<std::shared_ptr<const std::vector<int>>> results(8);
   f.world.launch([&](Comm comm) {
-    results[static_cast<std::size_t>(comm.rank())] = comm.reduce(
-        comm.rank() + 1, [](int a, int b) { return a + b; }, /*root=*/3);
+    results[static_cast<std::size_t>(comm.rank())] =
+        comm.allgather(comm.rank() + 100);
   });
   f.engine.run();
-  EXPECT_EQ(results[3], 10);
-  EXPECT_EQ(results[0], 0);  // non-roots get a default value
+  ASSERT_NE(results[0], nullptr);
+  for (const auto& shared : results) EXPECT_EQ(shared.get(), results[0].get());
+  EXPECT_EQ(*results[0], (std::vector<int>{100, 101, 102, 103, 104, 105, 106,
+                                           107}));
+}
+
+TEST(Collectives, CollectiveTypeMismatchThrows) {
+  Fixture f(2, 1);
+  f.world.launch([&](Comm comm) {
+    if (comm.rank() == 0) {
+      (void)comm.allgather(1);
+    } else {
+      (void)comm.allgather(1.0);
+    }
+  });
+  try {
+    f.engine.run();
+    FAIL() << "mismatched value types ran to completion";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("different value types"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Collectives, LargerPayloadCostsMore) {
@@ -292,7 +322,7 @@ TEST(CommSplit, GroupsByColor) {
     new_size[static_cast<std::size_t>(comm.rank())] = sub.size();
     // Sub-communicator collectives only involve the group.
     const auto members = sub.allgather(comm.rank());
-    for (const int m : members) EXPECT_EQ(m % 2, color);
+    for (const int m : *members) EXPECT_EQ(m % 2, color);
   });
   f.engine.run();
   for (int r = 0; r < 8; ++r) {

@@ -3,6 +3,7 @@
 // Topology, and the Comm surface must agree with it.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "mpi/world.h"
@@ -55,6 +56,32 @@ TEST(Comm, NodeHelpersMatchTopology) {
     EXPECT_EQ(members.front(), comm.node_leader(comm.rank()));
   });
   engine.run();
+}
+
+TEST(Comm, NodeHelpersFollowASplitCommunicatorsRanks) {
+  // Two nodes of three ranks; world rank 0 leaves and the rest reverse
+  // their order, so the split's rank r is world rank 5 - r: ranks 0-2 sit
+  // on node 1 and ranks 3-4 on node 0.
+  sim::Engine engine;
+  net::Fabric fabric(2, net::FabricParams{});
+  World world(engine, fabric, Topology(2, 3));
+  int checked = 0;
+  world.launch([&](Comm comm) {
+    const Comm sub = comm.split(comm.rank() == 0 ? -1 : 0, -comm.rank());
+    if (!sub.valid()) return;
+    EXPECT_EQ(sub.rank(), 5 - comm.rank());
+    EXPECT_EQ(sub.node(), comm.node());
+    EXPECT_EQ(sub.max_ranks_per_node(), 3u);
+    EXPECT_EQ(sub.node_ranks(1), (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(sub.node_ranks(0), (std::vector<int>{3, 4}));
+    EXPECT_TRUE(sub.node_ranks(2).empty());
+    EXPECT_EQ(sub.node_table(), (std::map<std::size_t, std::vector<int>>{
+                                    {0, {3, 4}}, {1, {0, 1, 2}}}));
+    EXPECT_EQ(sub.node_leader(sub.rank()), sub.node() == 1 ? 0 : 3);
+    ++checked;
+  });
+  engine.run();
+  EXPECT_EQ(checked, 5);
 }
 
 }  // namespace

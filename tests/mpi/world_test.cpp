@@ -20,8 +20,8 @@ TEST(Topology, BlockPlacement) {
 
 TEST(Topology, RanksOnNode) {
   const Topology t(2, 3);
-  EXPECT_EQ(t.ranks_on(1), (std::vector<int>{3, 4, 5}));
-  EXPECT_THROW((void)t.ranks_on(2), std::logic_error);
+  EXPECT_EQ(t.node_ranks(1), (std::vector<int>{3, 4, 5}));
+  EXPECT_THROW((void)t.node_ranks(2), std::logic_error);
 }
 
 TEST(Topology, ZeroSizesThrow) {
