@@ -212,10 +212,9 @@ void WritePipeline::join_oldest() {
         overlap_.on_join(handle.issued, handle.done, join_at);
     // A stalled join means this rank was gated on the write's service time:
     // record the async interval for critical-path attribution.
-    if (sim::CausalObserver* causal = fd_.ctx->engine.causal_observer();
-        causal != nullptr && outcome.stall > 0) {
-      causal->bridge(sim::EdgeKind::write_join, fd_.ctx->engine.current(),
-                     handle.issued, handle.done);
+    if (outcome.stall > 0) {
+      fd_.ctx->engine.bridge_edge(sim::EdgeKind::write_join, handle.issued,
+                                  handle.done);
     }
     if (write_ns_counter_ != nullptr) {
       write_ns_counter_->add(handle.done - handle.issued);

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/log.h"
+#include "sim/causal.h"
 
 namespace e10::cache {
 
@@ -108,10 +109,9 @@ void FlushScheduler::join_oldest() {
   overlap_.on_join(oldest.issued, oldest.done, engine_.now());
   // A stalling join gates this lane on the write's media time: record the
   // async service interval for critical-path attribution.
-  if (sim::CausalObserver* causal = engine_.causal_observer();
-      causal != nullptr && oldest.done > engine_.now()) {
-    causal->bridge(sim::EdgeKind::batch_done, engine_.current(),
-                   oldest.issued, oldest.done);
+  if (oldest.done > engine_.now()) {
+    engine_.bridge_edge(sim::EdgeKind::batch_done, oldest.issued,
+                        oldest.done);
   }
   engine_.advance_to(oldest.done);
 }

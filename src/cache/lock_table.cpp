@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/causal.h"
+
 namespace e10::cache {
 
 namespace {
@@ -54,6 +56,17 @@ void LockTable::wake_all(FileLocks& locks) {
   }
 }
 
+void LockTable::wait_clear(FileLocks& locks, const Extent& extent,
+                           const char* why) {
+  const Time before = engine_.now();
+  while (overlaps_held(locks, extent)) {
+    locks.waiters.push_back(engine_.current());
+    engine_.block(why);
+  }
+  // The release that finally let us through gated this lane.
+  engine_.ack_edge(locks.last_release, before);
+}
+
 void LockTable::lock(const std::string& path, const Extent& extent) {
   if (extent.empty()) return;
   const sim::MonitorGuard monitor(engine_, this, kMonitorName);
@@ -66,16 +79,7 @@ void LockTable::lock(const std::string& path, const Extent& extent) {
   }
   E10_SHARED_WRITE(tables_var_);
   FileLocks& locks = files_[path];
-  const Time before = engine_.now();
-  while (overlaps_held(locks, extent)) {
-    locks.waiters.push_back(engine_.current());
-    engine_.block("LockTable::lock");
-  }
-  // Blocked: the release that finally let us through gated this lane.
-  if (sim::CausalObserver* causal = engine_.causal_observer();
-      causal != nullptr && locks.last_release != 0 && engine_.now() > before) {
-    causal->ack(locks.last_release, engine_.current(), engine_.now());
-  }
+  wait_clear(locks, extent, "LockTable::lock");
   locks.held.push_back(extent);
   if (observer != nullptr) {
     observer->on_acquired(engine_.current(), extent_lock_id(path, extent),
@@ -102,10 +106,9 @@ void LockTable::unlock(const std::string& path, const Extent& extent) {
       observer != nullptr && engine_.in_process()) {
     observer->on_released(engine_.current(), extent_lock_id(path, extent));
   }
-  if (sim::CausalObserver* causal = engine_.causal_observer();
-      causal != nullptr && engine_.in_process() && !locks.waiters.empty()) {
-    locks.last_release = causal->emit(sim::EdgeKind::lock_wait,
-                                      engine_.current(), engine_.now());
+  if (!locks.waiters.empty()) {
+    locks.last_release =
+        engine_.emit_edge(sim::EdgeKind::lock_wait, engine_.now());
   }
   wake_all(locks);
 }
@@ -116,16 +119,7 @@ void LockTable::wait_unlocked(const std::string& path, const Extent& extent) {
   E10_SHARED_READ(tables_var_);
   const auto file_it = files_.find(path);
   if (file_it == files_.end()) return;
-  FileLocks& locks = file_it->second;
-  const Time before = engine_.now();
-  while (overlaps_held(locks, extent)) {
-    locks.waiters.push_back(engine_.current());
-    engine_.block("LockTable::wait_unlocked");
-  }
-  if (sim::CausalObserver* causal = engine_.causal_observer();
-      causal != nullptr && locks.last_release != 0 && engine_.now() > before) {
-    causal->ack(locks.last_release, engine_.current(), engine_.now());
-  }
+  wait_clear(file_it->second, extent, "LockTable::wait_unlocked");
 }
 
 bool LockTable::is_locked(const std::string& path, const Extent& extent) const {

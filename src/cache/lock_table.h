@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/extent.h"
-#include "sim/causal.h"
 #include "sim/concurrency.h"
 #include "sim/engine.h"
 
@@ -64,6 +63,10 @@ class LockTable {
 
   bool overlaps_held(const FileLocks& locks, const Extent& extent) const;
   void wake_all(FileLocks& locks);
+  /// Parks the caller (`why` names the wait) until no held lock overlaps
+  /// `extent`; a wait that advanced the clock acks the release that ended
+  /// it.
+  void wait_clear(FileLocks& locks, const Extent& extent, const char* why);
 
   sim::Engine& engine_;
   /// Registered shared state: the per-file lock lists, accessed by every

@@ -5,6 +5,7 @@
 
 #include "cache/journal.h"
 #include "common/log.h"
+#include "sim/causal.h"
 
 namespace e10::cache {
 
@@ -101,16 +102,13 @@ void SyncThread::note_queue_depth(std::size_t depth) {
 void SyncThread::enqueue(SyncRequest request) {
   if (!handle_.valid()) throw std::logic_error("SyncThread not started");
   // The enqueue is the causal source of the drain that services it.
-  if (sim::CausalObserver* causal = engine_.causal_observer();
-      causal != nullptr && engine_.in_process()) {
-    request.cause = causal->emit(sim::EdgeKind::sync_queue, engine_.current(),
-                                 engine_.now());
-  }
+  const sim::CausalToken cause =
+      engine_.emit_edge(sim::EdgeKind::sync_queue, engine_.now());
   std::size_t depth = 0;
   {
     const sim::MonitorGuard monitor(engine_, &inbox_, inbox_monitor_name_);
     E10_SHARED_WRITE(inbox_var_);
-    inbox_.send(std::move(request));
+    inbox_.send(std::move(request), cause);
     depth = inbox_.size();
   }
   note_queue_depth(depth);
@@ -215,19 +213,14 @@ SyncThread::Gather SyncThread::gather_batch(std::vector<SyncRequest>& batch,
     if (next->shutdown) return Gather::kShutdown;
     first = std::move(*next);
   } else {
-    const Time before = engine_.now();
     first = [this] {
       // The monitor is claimed across the (possibly blocking) recv — the
       // classic condition-wait-inside-monitor shape; see concurrency.h.
+      // An idle wait ended by an enqueue acks that enqueue's emission.
       const sim::MonitorGuard monitor(engine_, &inbox_, inbox_monitor_name_);
       E10_SHARED_WRITE(inbox_var_);
       return inbox_.recv();
     }();
-    // The idle inbox wait ended because this request was enqueued.
-    if (sim::CausalObserver* causal = engine_.causal_observer();
-        causal != nullptr && first.cause != 0 && engine_.now() > before) {
-      causal->ack(first.cause, engine_.current(), engine_.now());
-    }
     if (first.shutdown) return Gather::kShutdown;
   }
   batch.push_back(std::move(first));
@@ -286,13 +279,10 @@ void SyncThread::finalize_deferred() {
     engine_.advance_to(last);
     // Waiting the batches out gated this lane: record each one actually
     // waited on as an async service bridge (issue -> media-durable).
-    if (sim::CausalObserver* causal = engine_.causal_observer();
-        causal != nullptr) {
-      for (const DeferredBatch& batch : deferred_) {
-        if (batch.done_time > before) {
-          causal->bridge(sim::EdgeKind::batch_done, engine_.current(),
-                         batch.issued, batch.done_time);
-        }
+    for (const DeferredBatch& batch : deferred_) {
+      if (batch.done_time > before) {
+        engine_.bridge_edge(sim::EdgeKind::batch_done, batch.issued,
+                            batch.done_time);
       }
     }
   }

@@ -10,7 +10,6 @@
 #include "common/extent.h"
 #include "common/units.h"
 #include "mpi/request.h"
-#include "sim/causal.h"
 
 namespace e10::cache {
 
@@ -30,9 +29,6 @@ struct SyncRequest {
   bool release_lock = false;
   /// Shutdown sentinel (internal).
   bool shutdown = false;
-  /// Causal emission of the enqueue (internal; 0 = none): lets the sync
-  /// thread acknowledge which request ended its idle inbox wait.
-  sim::CausalToken cause = 0;
   /// Times this request went back to the queue after exhausting its
   /// in-place retry attempts (internal).
   int requeues = 0;

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "sim/causal.h"
+
 namespace e10::mpi {
 
 namespace {
@@ -143,13 +145,8 @@ Request CommState::isend(int src, int dst, int tag, std::any payload,
   // The send call is the causal source of the matched receive's completion
   // (and of the sender's own tx-done wait); the in-flight latency carries
   // the NIC queueing the cost model charged.
-  sim::CausalToken cause = 0;
-  if (sim::CausalObserver* causal = engine_.causal_observer();
-      causal != nullptr && engine_.in_process()) {
-    cause = causal->emit(sim::EdgeKind::message, engine_.current(), now,
-                         times.queued);
-  }
-  send_state->cause = cause;
+  const sim::CausalToken cause =
+      engine_.emit_edge(sim::EdgeKind::message, now, times.queued);
 
   RankQueues& dst_queues = queues_[static_cast<std::size_t>(dst)];
   // Look for an already-posted matching receive (FIFO post order).
@@ -159,9 +156,8 @@ Request CommState::isend(int src, int dst, int tag, std::any payload,
       const Time completion = times.arrival;
       it->state->packet = std::move(packet);
       it->state->has_packet = true;
-      it->state->cause = cause;
-      it->state->done.set_at(completion);
-      send_state->done.set_at(eager ? times.tx_done : completion);
+      it->state->done.set_at(completion, cause);
+      send_state->done.set_at(eager ? times.tx_done : completion, cause);
       dst_queues.posted.erase(it);
       return Request(std::move(send_state));
     }
@@ -174,7 +170,7 @@ Request CommState::isend(int src, int dst, int tag, std::any payload,
   msg.arrival = times.arrival;
   msg.cause = cause;
   if (eager) {
-    send_state->done.set_at(times.tx_done);
+    send_state->done.set_at(times.tx_done, cause);
   } else {
     msg.send_state = send_state;
   }
@@ -196,17 +192,13 @@ Request CommState::irecv(int dst, int src, int tag) {
       const Time completion = std::max(engine_.now(), it->arrival);
       recv_state->packet = std::move(it->packet);
       recv_state->has_packet = true;
-      recv_state->cause = it->cause;
-      recv_state->done.set_at(completion);
+      recv_state->done.set_at(completion, it->cause);
       if (it->send_state != nullptr) {
         // Rendezvous sender completes when the receiver drains the message;
         // the receiver posting this irecv is what released it.
-        if (sim::CausalObserver* causal = engine_.causal_observer();
-            causal != nullptr && engine_.in_process()) {
-          it->send_state->cause = causal->emit(
-              sim::EdgeKind::message, engine_.current(), engine_.now());
-        }
-        it->send_state->done.set_at(completion);
+        it->send_state->done.set_at(
+            completion,
+            engine_.emit_edge(sim::EdgeKind::message, engine_.now()));
       }
       my_queues.unexpected.erase(it);
       return Request(std::move(recv_state));
@@ -277,22 +269,9 @@ bool CommState::complete_arrival(CollOp& op, Offset bytes) {
   const Time release = op.max_arrival + collective_cost(op.kind, op.max_bytes);
   // Every released participant was gated on the last arriver — the
   // collective straggler edge the critical-path walk follows.
-  if (sim::CausalObserver* causal = engine_.causal_observer();
-      causal != nullptr && engine_.in_process()) {
-    op.cause = causal->emit(sim::EdgeKind::collective, engine_.current(),
-                            release);
-  }
-  op.release.set_at(release);
+  op.release.set_at(release,
+                    engine_.emit_edge(sim::EdgeKind::collective, release));
   return true;
-}
-
-void CommState::await_release(CollOp& op) {
-  const Time before = engine_.now();
-  op.release.wait();
-  if (sim::CausalObserver* causal = engine_.causal_observer();
-      causal != nullptr && op.cause != 0 && engine_.now() > before) {
-    causal->ack(op.cause, engine_.current(), engine_.now());
-  }
 }
 
 void CommState::depart(CollOp& op) {
@@ -329,7 +308,7 @@ std::pair<std::size_t, std::size_t> CommState::arrive_alltoall(
                              " twice");
     }
   }
-  await_release(op);
+  op.release.wait();
   const auto [first, last] = std::equal_range(
       op.entries.begin(), op.entries.end(), A2aEntry{0, rank, 0},
       [](const A2aEntry& a, const A2aEntry& b) { return a.dst < b.dst; });
@@ -340,7 +319,7 @@ std::pair<std::size_t, std::size_t> CommState::arrive_alltoall(
 void CommState::barrier(int rank) {
   CollOp& op = collective_slot(rank, Comm::Kind::barrier);
   (void)complete_arrival(op, 0);
-  await_release(op);
+  op.release.wait();
   depart(op);
 }
 

@@ -214,8 +214,8 @@ class CommState {
     Time max_arrival = 0;
     Offset max_bytes = 0;
     Comm::Kind kind = Comm::Kind::barrier;
+    /// Set by the last arriver with its collective emission.
     sim::SimEvent release;
-    sim::CausalToken cause = 0;  // last arriver's release emission
   };
 
   static bool matches(const PendingRecv& recv, const Packet& packet);
@@ -232,8 +232,6 @@ class CommState {
   /// last arriver schedules the release and returns true — it must seal
   /// the op's buffer before it next blocks.
   bool complete_arrival(CollOp& op, Offset bytes);
-  /// Blocks until the op releases; records the straggler causal edge.
-  void await_release(CollOp& op);
   /// Departure bookkeeping: the last leaver retires the op (ops retire
   /// strictly in sequence order, so only the deque front ever pops).
   void depart(CollOp& op);
@@ -292,7 +290,7 @@ std::shared_ptr<const std::vector<T>> CommState::collect(int rank,
   if (slots.empty()) slots.resize(static_cast<std::size_t>(size()));
   slots[static_cast<std::size_t>(rank)] = std::move(value);
   if (complete_arrival(op, bytes)) seal(slots);
-  await_release(op);
+  op.release.wait();
   auto result = std::static_pointer_cast<const std::vector<T>>(op.values);
   depart(op);
   return result;

@@ -2,18 +2,13 @@
 
 #include <stdexcept>
 
+#include "sim/causal.h"
+
 namespace e10::mpi {
 
 void Request::wait() {
   if (!valid()) throw std::logic_error("wait on invalid Request");
-  sim::Engine& engine = state_->done.engine();
-  const Time before = engine.now();
   state_->done.wait();
-  // The wait advanced our clock: the request's completion gated us.
-  if (sim::CausalObserver* causal = engine.causal_observer();
-      causal != nullptr && state_->cause != 0 && engine.now() > before) {
-    causal->ack(state_->cause, engine.current(), engine.now());
-  }
 }
 
 bool Request::test() const {
@@ -34,24 +29,13 @@ Request Request::grequest(sim::Engine& engine) {
 
 void Request::complete() {
   if (!valid()) throw std::logic_error("complete on invalid Request");
-  sim::Engine& engine = state_->done.engine();
-  if (sim::CausalObserver* causal = engine.causal_observer();
-      causal != nullptr && engine.in_process()) {
-    state_->cause = causal->emit(sim::EdgeKind::grequest, engine.current(),
-                                 engine.now());
-  }
-  state_->done.set();
+  complete_at(state_->done.engine().now());
 }
 
 void Request::complete_at(Time at) {
   if (!valid()) throw std::logic_error("complete on invalid Request");
-  sim::Engine& engine = state_->done.engine();
-  if (sim::CausalObserver* causal = engine.causal_observer();
-      causal != nullptr && engine.in_process()) {
-    state_->cause =
-        causal->emit(sim::EdgeKind::grequest, engine.current(), at);
-  }
-  state_->done.set_at(at);
+  state_->done.set_at(
+      at, state_->done.engine().emit_edge(sim::EdgeKind::grequest, at));
 }
 
 void Request::wait_all(std::vector<Request>& requests) {

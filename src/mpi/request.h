@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "sim/causal.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
 
@@ -76,8 +75,6 @@ class [[nodiscard]] Request {
     sim::SimEvent done;
     Packet packet;
     bool has_packet = false;
-    /// Causal emission this request's completion stems from (0 = none).
-    sim::CausalToken cause = 0;
   };
 
   explicit Request(std::shared_ptr<State> state) : state_(std::move(state)) {}

@@ -19,6 +19,9 @@ struct Point {
   /// same spec reproduces them exactly, so the gate compares them with no
   /// threshold.
   std::vector<std::pair<std::string, double>> engine_counters;
+  /// The run report's "critical_path" section (null when absent). Built
+  /// from virtual time alone, so it is gated exactly like the counters.
+  const Json* critical_path = nullptr;
 };
 
 /// Normalized document: insertion-ordered key -> point.
@@ -64,6 +67,10 @@ Result<PointMap> from_run_report_array(const Json& doc) {
       if (name.rfind("engine.", 0) == 0 && value.is_numeric()) {
         point.engine_counters.emplace_back(name, value.as_number());
       }
+    }
+    if (const Json* section = entry.find("critical_path");
+        section != nullptr && section->is_object()) {
+      point.critical_path = section;
     }
     if (const Json* phases = entry.find("phases");
         phases != nullptr && phases->is_object()) {
@@ -120,6 +127,23 @@ Result<PointMap> normalize(const Json& doc) {
   return Status::error(
       Errc::invalid_argument,
       "compare: document is neither a run-report array nor a BENCH file");
+}
+
+/// Names of the members whose values differ between two critical-path
+/// sections, comma-separated; empty when the sections are identical.
+std::string critical_path_drift(const Json& base, const Json& cand) {
+  std::string drift;
+  const auto note = [&](const std::string& name) {
+    drift += (drift.empty() ? "" : ", ") + name;
+  };
+  for (const auto& [name, value] : base.members()) {
+    const Json* other = cand.find(name);
+    if (other == nullptr || other->dump() != value.dump()) note(name);
+  }
+  for (const auto& [name, value] : cand.members()) {
+    if (base.find(name) == nullptr) note(name);
+  }
+  return drift;
 }
 
 }  // namespace
@@ -184,6 +208,15 @@ Result<CompareReport> compare_runs(const Json& baseline, const Json& candidate,
           diff.counter_mismatches.emplace_back(buf);
         }
         break;
+      }
+    }
+    // The critical path is as deterministic as the counters: any drift in
+    // a section both sides carry means the run's causal structure changed.
+    if (base.critical_path != nullptr && cand->critical_path != nullptr) {
+      const std::string drift =
+          critical_path_drift(*base.critical_path, *cand->critical_path);
+      if (!drift.empty()) {
+        diff.counter_mismatches.push_back("critical_path: " + drift);
       }
     }
     if (!diff.counter_mismatches.empty()) diff.regression = true;

@@ -44,8 +44,10 @@ struct PointDiff {
   bool checksum_mismatch = false;
   /// Deterministic "engine.*" scheduler counters (run-report derived keys)
   /// present on both sides that do not match EXACTLY — no threshold, since
-  /// the same build on the same spec reproduces them bit-for-bit. Any entry
-  /// marks the point as a regression: the scheduler did different work.
+  /// the same build on the same spec reproduces them bit-for-bit — plus
+  /// one "critical_path: <members>" entry when both sides carry a
+  /// critical_path section and it differs. Any entry marks the point as a
+  /// regression: the scheduler did different work.
   std::vector<std::string> counter_mismatches;
   /// Per-phase max_s deltas (candidate - baseline, seconds), largest
   /// slowdown first; empty when the inputs carry no phase table.

@@ -274,11 +274,7 @@ Result<Time> Pfs::write_async_impl(FileHandle handle, Offset offset,
         }
         // Overlay for the critical-path analyzer: this slice of the write's
         // service latency was stripe-lock wait, not media time.
-        if (sim::CausalObserver* causal = engine_.causal_observer();
-            causal != nullptr && engine_.in_process()) {
-          causal->interval(sim::EdgeKind::lock_wait, engine_.current(),
-                           cpu_done, granted);
-        }
+        engine_.overlay_edge(sim::EdgeKind::lock_wait, cpu_done, granted);
       }
       io_start = granted;
     }

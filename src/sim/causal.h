@@ -2,27 +2,38 @@
 //
 // The DES engine schedules fibers over virtual time, but the *reasons* a
 // process resumed — a message arrived, a collective released, a flush batch
-// reached the media, a stripe lock was handed over — live inside the
-// synchronization primitives and cost models. This observer interface lets
-// those sites report the causal structure of a run as a DAG of emissions
-// (potential wake-up sources) and acknowledgements (a waiter's clock was
-// advanced by that source), which obs/critical_path.{h,cpp} walks backward
-// from job completion to attribute end-to-end time to phases and resources.
+// reached the media, a stripe lock was handed over — are known only where
+// the wake-up is produced. The run's causal structure is a DAG of
+// emissions (potential wake-up sources) and acknowledgements (a waiter's
+// clock was advanced by that source), which obs/critical_path.{h,cpp}
+// walks backward from job completion to attribute end-to-end time to
+// phases and resources.
 //
-// Mirrors sim/concurrency.h: detached (the default) every hook is a single
+// Who records what:
+//  - Emissions stay at the site that knows the edge's kind, time and
+//    contention (a send, a collective's last arrival, a grequest
+//    completion, a sync-queue enqueue, a lock release, a process finish),
+//    each one Engine::emit_edge call. The token travels with the wake-up:
+//    SimEvent::set_at and Mailbox::send take it.
+//  - Acks are recorded by the primitives that block: SimEvent::wait,
+//    Mailbox::recv and ProcessHandle::join ack the token they were woken
+//    by when the wait advanced the clock. LockTable's one wait helper is
+//    the only ack outside sim.
+//  - Bridges (an async service interval waited out) and overlays (lock
+//    wait inside a write's service time) are one Engine call at the site.
+// A wake-up alone cannot express these: a wait on an already-set event
+// advances the clock without any make_ready, and message, collective and
+// grequest waits all block in the same SimEvent::wait.
+//
+// Mirrors sim/concurrency.h: detached (the default) every call is a single
 // null-pointer branch; attaching never changes virtual time, so a traced
 // run is byte-identical to an untraced one.
 #pragma once
-
-#include <cstdint>
 
 #include "common/units.h"
 #include "sim/engine.h"
 
 namespace e10::sim {
-
-/// Identity of one recorded emission; 0 means "no edge".
-using CausalToken = std::uint64_t;
 
 /// What kind of dependency an edge expresses. The analyzer uses it to
 /// attribute the virtual-time gap between the emission and the wake-up.

@@ -139,11 +139,7 @@ void ProcessHandle::join() const {
     target.joiners.push_back(eng.current());
     eng.block("join");
   }
-  // The join advanced the caller's clock: the target's finish gated us.
-  if (CausalObserver* causal = eng.causal_observer();
-      causal != nullptr && target.finish_token != 0 && eng.now() > before) {
-    causal->ack(target.finish_token, eng.current(), eng.now());
-  }
+  eng.ack_edge(target.finish_token, before);
 }
 
 bool ProcessHandle::finished() const {
@@ -324,10 +320,7 @@ void Engine::finish_current() {
   }
   p.state = Process::State::finished;
   if (!p.cancelled) {
-    if (causal_observer_ != nullptr) {
-      p.finish_token =
-          causal_observer_->emit(EdgeKind::process, p.id, p.clock);
-    }
+    p.finish_token = emit_edge(EdgeKind::process, p.clock);
     for (const ProcessId j : p.joiners) make_ready(j, p.clock);
     p.joiners.clear();
   }
@@ -466,6 +459,29 @@ void Engine::block(const char* why) {
 
 bool Engine::is_blocked(ProcessId pid) const {
   return proc(pid).state == Process::State::blocked;
+}
+
+CausalToken Engine::emit_edge(EdgeKind kind, Time at, Time contended_ns) {
+  if (causal_observer_ == nullptr || current_ == nullptr) return 0;
+  return causal_observer_->emit(kind, current_->id, at, contended_ns);
+}
+
+void Engine::ack_edge(CausalToken token, Time before) {
+  if (causal_observer_ == nullptr || current_ == nullptr || token == 0 ||
+      sim_time_ <= before) {
+    return;
+  }
+  causal_observer_->ack(token, current_->id, sim_time_);
+}
+
+void Engine::bridge_edge(EdgeKind kind, Time issue, Time done) {
+  if (causal_observer_ == nullptr || current_ == nullptr) return;
+  causal_observer_->bridge(kind, current_->id, issue, done);
+}
+
+void Engine::overlay_edge(EdgeKind kind, Time begin, Time end) {
+  if (causal_observer_ == nullptr || current_ == nullptr) return;
+  causal_observer_->interval(kind, current_->id, begin, end);
 }
 
 void Engine::make_ready(ProcessId pid, Time not_before) {

@@ -55,9 +55,13 @@ namespace e10::sim {
 class Engine;
 class ConcurrencyObserver;  // concurrency.h
 class CausalObserver;       // causal.h
+enum class EdgeKind;        // causal.h
 
 using ProcessId = std::uint64_t;
 inline constexpr ProcessId kNoProcess = ~ProcessId{0};
+
+/// Identity of one recorded causal emission; 0 means "no edge".
+using CausalToken = std::uint64_t;
 
 /// Thrown out of Engine::run() when every live process is blocked. The
 /// message lists, per blocked process: its name, the primitive it blocks
@@ -214,13 +218,34 @@ class Engine {
   }
 
   /// Attaches (or detaches, with nullptr) the causal-edge recorder
-  /// (sim/causal.h). Synchronization sites across the stack report
-  /// wake-up dependencies through this hook for post-run critical-path
-  /// analysis; detached, each hook is one branch and nothing changes.
+  /// (sim/causal.h) that the *_edge calls below feed for post-run
+  /// critical-path analysis; detached, each call is one branch and nothing
+  /// changes.
   void set_causal_observer(CausalObserver* observer) {
     causal_observer_ = observer;
   }
   CausalObserver* causal_observer() const { return causal_observer_; }
+
+  // ---- Causal edges (sim/causal.h) ----------------------------------------
+  // Recorded for the running process; outside a process, or with no
+  // recorder attached, nothing is recorded and emit_edge returns 0.
+
+  /// The running process produced, at `at` (possibly in its future), what
+  /// another process may wait on; `contended_ns` is resource queueing
+  /// inside the edge's latency. Returns the token the waiter acks.
+  CausalToken emit_edge(EdgeKind kind, Time at, Time contended_ns = 0);
+
+  /// A wait that started at `before` just ended: when it advanced the
+  /// caller's clock, the emission `token` gated the caller. The blocking
+  /// primitives (SimEvent, Mailbox, join) call this themselves.
+  void ack_edge(CausalToken token, Time before);
+
+  /// An asynchronous service interval [issue, done] gated the caller.
+  void bridge_edge(EdgeKind kind, Time issue, Time done);
+
+  /// Within work already attributed to the caller, [begin, end] was spent
+  /// in `kind`.
+  void overlay_edge(EdgeKind kind, Time begin, Time end);
 
   /// Number of processes whose body has not yet returned.
   std::size_t live_processes() const { return live_; }
@@ -266,7 +291,7 @@ class Engine {
     std::exception_ptr error;
     std::vector<ProcessId> joiners;
     /// Causal emission of this process's finish (0 = none recorded).
-    std::uint64_t finish_token = 0;
+    CausalToken finish_token = 0;
   };
 
   // Arena geometry: processes live in fixed-size chunks so addresses stay

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/units.h"
 #include "obs/json.h"
 #include "obs/trace.h"
@@ -16,13 +18,24 @@ using namespace e10::units;
 using sim::EdgeKind;
 
 TEST(Causal, AttachesAndDetaches) {
+  // Engine::emit_edge records only while a recorder is attached, and only
+  // from inside a process; otherwise it returns the null token.
   sim::Engine engine;
-  EXPECT_EQ(engine.causal_observer(), nullptr);
+  std::vector<sim::CausalToken> tokens;
+  const auto emit_in_process = [&] {
+    engine.spawn("p", [&] {
+      tokens.push_back(engine.emit_edge(EdgeKind::message, engine.now()));
+    });
+    engine.run();
+  };
+  emit_in_process();
   {
     CausalRecorder recorder(engine);
-    EXPECT_EQ(engine.causal_observer(), &recorder);
+    emit_in_process();
+    EXPECT_EQ(engine.emit_edge(EdgeKind::message, 0), 0u);
   }
-  EXPECT_EQ(engine.causal_observer(), nullptr);
+  emit_in_process();
+  EXPECT_EQ(tokens, (std::vector<sim::CausalToken>{0, 1, 0}));
 }
 
 TEST(Causal, EmitReturnsMonotonicTokensAndSourceOfResolves) {
@@ -86,13 +99,12 @@ TEST(Causal, CrossPidAcksEmitPairedFlowArrows) {
   engine.spawn("a", [&] {
     Span span(&tracer, tracer.rank_track(0), "shuffle_all2all");
     engine.delay(milliseconds(1));
-    token = engine.causal_observer()->emit(EdgeKind::message,
-                                           engine.current(), engine.now());
+    token = engine.emit_edge(EdgeKind::message, engine.now());
   });
   engine.spawn("b", [&] {
     Span span(&tracer, tracer.rank_track(1), "exchange");
     engine.delay(milliseconds(2));
-    engine.causal_observer()->ack(token, engine.current(), engine.now());
+    engine.ack_edge(token, 0);
   });
   engine.run();
 

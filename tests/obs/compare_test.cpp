@@ -224,6 +224,44 @@ TEST(Compare, EngineCounterDriftFailsExactlyEvenWithinThreshold) {
   EXPECT_NE(table.find("FAIL"), std::string::npos);
 }
 
+TEST(Compare, CriticalPathDriftFailsExactlyWhenBothSidesCarryIt) {
+  // The critical_path section is a pure function of virtual time: any
+  // drift fails the point even with io_time identical, and the mismatch
+  // names the members that moved. A side without the section is not gated.
+  const auto doc = [](const char* critical_path) {
+    char buf[512];
+    std::snprintf(buf, sizeof(buf), R"([
+      {"config": {"combo": "8_4m", "cache_case": "cache_enabled"},
+       "derived": {"io_time_s": 10.0}%s}
+    ])",
+                  critical_path);
+    return parse(buf);
+  };
+  const char* kPath =
+      R"(, "critical_path": {"total_s": 10.0, "hops": 12,
+                              "categories": {"write": {"s": 6.0}}})";
+  const char* kMoved =
+      R"(, "critical_path": {"total_s": 10.0, "hops": 13,
+                              "categories": {"write": {"s": 6.5}}})";
+
+  const auto same = compare_runs(doc(kPath), doc(kPath), CompareOptions{});
+  ASSERT_TRUE(same.is_ok());
+  EXPECT_EQ(same.value().regressions, 0u);
+
+  const auto one_sided = compare_runs(doc(kPath), doc(""), CompareOptions{});
+  ASSERT_TRUE(one_sided.is_ok());
+  EXPECT_EQ(one_sided.value().regressions, 0u);
+
+  const auto drift = compare_runs(doc(kPath), doc(kMoved), CompareOptions{});
+  ASSERT_TRUE(drift.is_ok());
+  EXPECT_EQ(drift.value().regressions, 1u);
+  ASSERT_EQ(drift.value().points[0].counter_mismatches.size(), 1u);
+  EXPECT_EQ(drift.value().points[0].counter_mismatches[0],
+            "critical_path: hops, categories");
+  EXPECT_NE(compare_table(drift.value(), CompareOptions{}).find("FAIL"),
+            std::string::npos);
+}
+
 TEST(Compare, DisjointSweepsAreAnErrorNotAPass) {
   // Every baseline point missing from the candidate and vice versa: two
   // documents from different sweeps. A gate verdict over zero shared points

@@ -38,24 +38,6 @@ TEST(Mailbox, RecvBlocksUntilSend) {
   EXPECT_EQ(recv_time, seconds(2));
 }
 
-TEST(Mailbox, FutureAvailabilityModelsTransferDelay) {
-  Engine eng;
-  Mailbox<std::string> box(eng);
-  Time recv_time = -1;
-  eng.spawn("sender", [&] {
-    // Message "arrives" 5 ms in the sender's future (network latency);
-    // the sender does not block.
-    box.send("data", eng.now() + milliseconds(5));
-    EXPECT_EQ(eng.now(), 0);
-  });
-  eng.spawn("receiver", [&] {
-    (void)box.recv();
-    recv_time = eng.now();
-  });
-  eng.run();
-  EXPECT_EQ(recv_time, milliseconds(5));
-}
-
 TEST(Mailbox, FifoOrder) {
   Engine eng;
   Mailbox<int> box(eng);
