@@ -148,6 +148,11 @@ Status write_strided(AdioFile& fd, const std::vector<mpi::IoPiece>& pieces);
 Result<std::vector<DataView>> read_strided(AdioFile& fd,
                                            const std::vector<Extent>& wanted);
 
+/// The tail both strided reads share: one view per wanted extent, cut out
+/// of the bytes assembled for them (an empty extent gets an empty view).
+std::vector<DataView> cut_wanted(const ByteStore& assembled,
+                                 const std::vector<Extent>& wanted);
+
 /// Collective error agreement (ROMIO's error exchange): every rank returns
 /// the worst code any rank saw — its own status when it was the worst.
 Status agree_status(const mpi::Comm& comm, const Status& mine);

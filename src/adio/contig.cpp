@@ -3,6 +3,37 @@
 
 namespace e10::adio {
 
+namespace {
+
+/// Completion of a blocking call: the caller's clock once it returned.
+Result<Time> now_if_ok(const AdioFile& fd, const Status& status) {
+  if (!status.is_ok()) return status;
+  return fd.ctx->engine.now();
+}
+
+/// The routing both contiguous writes share: into the cache when the file
+/// has one, through to the global file when it has none or the cache cannot
+/// take the data (e.g. the scratch partition filled up), so no data is
+/// lost. `wait` picks the blocking calls; returns the completion time.
+Result<Time> route_write(AdioFile& fd, Offset offset, const DataView& data,
+                         bool wait) {
+  if (fd.cache != nullptr) {
+    const Extent extent{offset, data.size()};
+    const auto cached = wait ? now_if_ok(fd, fd.cache->write(extent, data))
+                             : fd.cache->iwrite(extent, data);
+    if (cached.is_ok()) return cached;
+    log::warn("adio", "cache write failed (", cached.status().to_string(),
+              "), writing through to the global file");
+    if (fd.ctx->metrics != nullptr) {
+      fd.ctx->metrics->counter(obs::names::kCacheFallbackWrites).increment();
+    }
+  }
+  return wait ? now_if_ok(fd, fd.ctx->pfs.write(fd.handle, offset, data))
+              : fd.ctx->pfs.write_async(fd.handle, offset, data);
+}
+
+}  // namespace
+
 Status write_contig(AdioFile& fd, Offset offset, const DataView& data) {
   if (offset < 0) {
     return Status::error(Errc::invalid_argument, "write_contig: offset < 0");
@@ -11,20 +42,7 @@ Status write_contig(AdioFile& fd, Offset offset, const DataView& data) {
 
   PhaseScope scope(*fd.ctx, fd.rank(), prof::Phase::write_contig);
   scope.span().arg("bytes", static_cast<std::int64_t>(data.size()));
-
-  if (fd.cache != nullptr) {
-    const Status cached =
-        fd.cache->write(Extent{offset, data.size()}, data);
-    if (cached.is_ok()) return Status::ok();
-    // Cache cannot take the data (e.g. the scratch partition filled up):
-    // fall back to a direct global-file write so no data is lost.
-    log::warn("adio", "cache write failed (", cached.to_string(),
-              "), writing through to the global file");
-    if (fd.ctx->metrics != nullptr) {
-      fd.ctx->metrics->counter(obs::names::kCacheFallbackWrites).increment();
-    }
-  }
-  return fd.ctx->pfs.write(fd.handle, offset, data);
+  return route_write(fd, offset, data, /*wait=*/true).status();
 }
 
 WriteHandle iwrite_contig(AdioFile& fd, Offset offset, const DataView& data) {
@@ -39,30 +57,12 @@ WriteHandle iwrite_contig(AdioFile& fd, Offset offset, const DataView& data) {
   }
   if (data.empty()) return handle;
 
-  std::optional<Time> done;
-  if (fd.cache != nullptr) {
-    const auto cached = fd.cache->iwrite(Extent{offset, data.size()}, data);
-    if (cached.is_ok()) {
-      done = cached.value();
-    } else {
-      // Cache cannot take the data: write through to the global file so no
-      // data is lost, same as the blocking path.
-      log::warn("adio", "cache write failed (", cached.status().to_string(),
-                "), writing through to the global file");
-      if (fd.ctx->metrics != nullptr) {
-        fd.ctx->metrics->counter(obs::names::kCacheFallbackWrites).increment();
-      }
-    }
+  const auto done = route_write(fd, offset, data, /*wait=*/false);
+  if (!done.is_ok()) {
+    handle.status = done.status();
+    return handle;
   }
-  if (!done) {
-    const auto direct = fd.ctx->pfs.write_async(fd.handle, offset, data);
-    if (!direct.is_ok()) {
-      handle.status = direct.status();
-      return handle;
-    }
-    done = direct.value();
-  }
-  handle.done = *done;
+  handle.done = done.value();
   handle.request = mpi::Request::grequest(fd.ctx->engine);
   handle.request.complete_at(handle.done);
   return handle;

@@ -122,10 +122,9 @@ Result<std::vector<DataView>> read_strided_coll(
       mpi::Request::wait_all(send_requests);
     }
 
-    for (const mpi::Request& request : recv_requests) {
-      const auto& pieces = std::any_cast<const std::vector<mpi::IoPiece>&>(
-          request.packet().payload);
-      for (const mpi::IoPiece& piece : pieces) {
+    for (mpi::Request& request : recv_requests) {
+      for (const mpi::IoPiece& piece :
+           request.take_payload<std::vector<mpi::IoPiece>>()) {
         assembled.write(piece.file.offset, piece.data);
       }
     }
@@ -137,13 +136,7 @@ Result<std::vector<DataView>> read_strided_coll(
     if (!agreed.is_ok()) return agreed;
   }
 
-  std::vector<DataView> out;
-  out.reserve(wanted.size());
-  for (const Extent& want : wanted) {
-    out.push_back(want.empty() ? DataView()
-                               : assembled.read(want.offset, want.length));
-  }
-  return out;
+  return cut_wanted(assembled, wanted);
 }
 
 }  // namespace e10::adio

@@ -106,6 +106,11 @@ Result<std::vector<DataView>> read_strided(AdioFile& fd,
     if (!cover.value().empty()) assembled.write(lo, cover.value());
   }
 
+  return cut_wanted(assembled, wanted);
+}
+
+std::vector<DataView> cut_wanted(const ByteStore& assembled,
+                                 const std::vector<Extent>& wanted) {
   std::vector<DataView> out;
   out.reserve(wanted.size());
   for (const Extent& want : wanted) {

@@ -145,12 +145,16 @@ void CacheFile::note_device_error(Errc code) {
                        /*is_write=*/true, E10_SITE);
     params_.metrics->counter(obs::names::kCacheDegraded).increment();
   }
-  if (params_.tracer != nullptr && params_.tracer->enabled()) {
-    const int track = params_.tracer->track(
-        "cache r" + std::to_string(params_.rank) + " " + params_.global_path,
-        2000 + params_.rank);
-    params_.tracer->instant(track, "cache degraded");
-  }
+  trace_instant("cache degraded");
+}
+
+void CacheFile::trace_instant(const char* name) {
+  if (params_.tracer == nullptr || !params_.tracer->enabled()) return;
+  // One track per cache, sorted below the sync-thread rows.
+  const int track = params_.tracer->track(
+      "cache r" + std::to_string(params_.rank) + " " + params_.global_path,
+      2000 + params_.rank);
+  params_.tracer->instant(track, name);
 }
 
 bool CacheFile::crash_now(bool in_flush) {
@@ -159,6 +163,15 @@ bool CacheFile::crash_now(bool in_flush) {
 }
 
 Status CacheFile::write(const Extent& global, const DataView& data) {
+  return append(global, data, /*wait=*/true).status();
+}
+
+Result<Time> CacheFile::iwrite(const Extent& global, const DataView& data) {
+  return append(global, data, /*wait=*/false);
+}
+
+Result<Time> CacheFile::append(const Extent& global, const DataView& data,
+                               bool wait) {
   if (closed_) {
     return Status::error(Errc::invalid_argument, "cache file closed");
   }
@@ -179,7 +192,7 @@ Status CacheFile::write(const Extent& global, const DataView& data) {
     return Status::error(Errc::invalid_argument,
                          "cache write: extent/data size mismatch");
   }
-  if (data.empty()) return Status::ok();
+  if (data.empty()) return engine_.now();
 
   if (const Status s = ensure_allocated(append_cursor_ + data.size());
       !s.is_ok()) {
@@ -188,12 +201,27 @@ Status CacheFile::write(const Extent& global, const DataView& data) {
   if (params_.coherent) {
     locks_->lock(params_.global_path, global);
   }
+  // Every local-device append goes through here. A blocking caller waits
+  // for each one before issuing the next and before anything is published
+  // (as LocalFs::write does); a nonblocking caller only collects the
+  // completion — the appends share the device's FIFO timeline.
+  Time completion = engine_.now();
+  const auto device_append = [&](lfs::FileHandle handle, Offset offset,
+                                 const DataView& bytes) {
+    const auto done = local_fs_.write_async(handle, offset, bytes);
+    if (!done.is_ok()) {
+      note_device_error(done.status().code());
+      if (params_.coherent) locks_->unlock(params_.global_path, global);
+      return done.status();
+    }
+    if (wait) engine_.advance_to(done.value());
+    completion = std::max(completion, done.value());
+    return Status::ok();
+  };
   const Offset cache_offset = append_cursor_;
-  const Status written = local_fs_.write(cache_handle_, cache_offset, data);
-  if (!written.is_ok()) {
-    note_device_error(written.code());
-    if (params_.coherent) locks_->unlock(params_.global_path, global);
-    return written;
+  if (const Status s = device_append(cache_handle_, cache_offset, data);
+      !s.is_ok()) {
+    return s;
   }
   // Journal before the extent becomes visible: an extent the journal does
   // not cover cannot be replayed after a crash, so a failed append fails
@@ -202,12 +230,10 @@ Status CacheFile::write(const Extent& global, const DataView& data) {
   if (journaling_) {
     const WriteRecord record{next_seq_, global.offset, global.length,
                              cache_offset};
-    const Status appended = local_fs_.write(journal_handle_, journal_cursor_,
-                                            encode_write_record(record));
-    if (!appended.is_ok()) {
-      note_device_error(appended.code());
-      if (params_.coherent) locks_->unlock(params_.global_path, global);
-      return appended;
+    if (const Status s = device_append(journal_handle_, journal_cursor_,
+                                       encode_write_record(record));
+        !s.is_ok()) {
+      return s;
     }
     seq = next_seq_++;
     journal_cursor_ += kWriteRecordBytes;
@@ -228,93 +254,6 @@ Status CacheFile::write(const Extent& global, const DataView& data) {
 
   if (params_.flush == FlushPolicy::none) {
     // Theoretical-bandwidth mode: data stays in the cache.
-    if (params_.coherent) locks_->unlock(params_.global_path, global);
-    return Status::ok();
-  }
-
-  SyncRequest request;
-  request.global = global;
-  request.cache_offset = cache_offset;
-  request.seq = seq;
-  request.grequest = mpi::Request::grequest(engine_);
-  request.release_lock = params_.coherent;
-  outstanding_.push_back(request.grequest);
-  if (params_.flush == FlushPolicy::immediate) {
-    sync_->enqueue(std::move(request));
-  } else {
-    deferred_.push_back(std::move(request));
-  }
-  return Status::ok();
-}
-
-Result<Time> CacheFile::iwrite(const Extent& global, const DataView& data) {
-  if (closed_) {
-    return Status::error(Errc::invalid_argument, "cache file closed");
-  }
-  if (crash_now(/*in_flush=*/false)) {
-    simulate_crash();
-    return Status::error(Errc::unavailable,
-                         "cache: simulated crash of rank " +
-                             std::to_string(params_.rank));
-  }
-  if (degraded_) {
-    return Status::error(Errc::unavailable,
-                         "cache: local device quarantined (rank " +
-                             std::to_string(params_.rank) + ")");
-  }
-  if (global.length != data.size()) {
-    return Status::error(Errc::invalid_argument,
-                         "cache write: extent/data size mismatch");
-  }
-  if (data.empty()) return engine_.now();
-
-  if (const Status s = ensure_allocated(append_cursor_ + data.size());
-      !s.is_ok()) {
-    return s;  // caller falls back to a direct global-file write
-  }
-  if (params_.coherent) {
-    locks_->lock(params_.global_path, global);
-  }
-  const Offset cache_offset = append_cursor_;
-  const auto written = local_fs_.write_async(cache_handle_, cache_offset, data);
-  if (!written.is_ok()) {
-    note_device_error(written.status().code());
-    if (params_.coherent) locks_->unlock(params_.global_path, global);
-    return written.status();
-  }
-  Time completion = written.value();
-  // Journal before the extent becomes visible (same rule as write()); the
-  // sidecar append shares the device's FIFO timeline, so the completion
-  // time covers both the data and its journal record.
-  std::uint64_t seq = 0;
-  if (journaling_) {
-    const WriteRecord record{next_seq_, global.offset, global.length,
-                             cache_offset};
-    const auto appended = local_fs_.write_async(
-        journal_handle_, journal_cursor_, encode_write_record(record));
-    if (!appended.is_ok()) {
-      note_device_error(appended.status().code());
-      if (params_.coherent) locks_->unlock(params_.global_path, global);
-      return appended.status();
-    }
-    completion = std::max(completion, appended.value());
-    seq = next_seq_++;
-    journal_cursor_ += kWriteRecordBytes;
-  }
-  consecutive_device_errors_ = 0;
-  append_cursor_ += data.size();
-  ++stats_.writes;
-  stats_.bytes_cached += data.size();
-  if (writes_counter_ != nullptr) {
-    writes_counter_->increment();
-    bytes_counter_->add(data.size());
-    write_hist_->observe(data.size());
-  }
-
-  E10_SHARED_WRITE(extent_map_var_);
-  apply_extent(extent_map_, global, cache_offset, seq);
-
-  if (params_.flush == FlushPolicy::none) {
     if (params_.coherent) locks_->unlock(params_.global_path, global);
     return completion;
   }
@@ -435,12 +374,7 @@ void CacheFile::simulate_crash() {
   // never-dispatched deferred requests are completed here for the same
   // reason — nothing may block on a dead rank.
   sync_->cancel_drain_and_join();
-  for (SyncRequest& request : deferred_) {
-    if (request.release_lock && locks_ != nullptr) {
-      locks_->unlock(params_.global_path, request.global);
-    }
-    if (request.grequest.valid()) request.grequest.complete();
-  }
+  for (SyncRequest& request : deferred_) sync_->release(request);
   deferred_.clear();
   mpi::Request::wait_all(outstanding_);
   outstanding_.clear();
@@ -455,12 +389,7 @@ void CacheFile::simulate_crash() {
   extent_map_.clear();
   closed_ = true;
   crashed_ = true;
-  if (params_.tracer != nullptr && params_.tracer->enabled()) {
-    const int track = params_.tracer->track(
-        "cache r" + std::to_string(params_.rank) + " " + params_.global_path,
-        2000 + params_.rank);
-    params_.tracer->instant(track, "rank crash");
-  }
+  trace_instant("rank crash");
 }
 
 Result<RecoveryReport> CacheFile::recover(lfs::LocalFs& local_fs,

@@ -123,16 +123,18 @@ class CacheFile {
   /// creates the sync request. In coherent mode the extent is locked until
   /// the sync thread makes it persistent. Fails fast once the local device
   /// is quarantined — the caller falls back to a direct global write.
+  /// Blocking: the caller waits for the data append, then for the journal
+  /// append, and the sync request is created once both are on the device.
   Status write(const Extent& global, const DataView& data);
 
-  /// Nonblocking variant of write(): identical validation, bookkeeping and
-  /// sync-request creation, but the local-device time is not charged to the
-  /// caller — the returned completion time says when the cache (and, with
-  /// journaling, the journal sidecar) has the data and the source buffer
-  /// may be reused. The sync thread's staging reads serialize after the
-  /// in-flight write on the device's FIFO timeline, so dispatching the sync
-  /// request at issue time is safe. Callers join via a generalized request
-  /// completed at the returned time (adio::iwrite_contig).
+  /// Nonblocking write(): the same body, but the local-device time is not
+  /// charged to the caller — both appends are issued at once and the
+  /// returned completion time says when the cache (and, with journaling,
+  /// the journal sidecar) has the data and the source buffer may be
+  /// reused. The sync request is created at issue; the sync thread's
+  /// staging reads serialize after the in-flight appends on the device's
+  /// FIFO timeline, so that is safe. Callers join via a generalized
+  /// request completed at the returned time (adio::iwrite_contig).
   Result<Time> iwrite(const Extent& global, const DataView& data);
 
   /// Serves a read from the cache if (and only if) the extent is fully
@@ -195,9 +197,17 @@ class CacheFile {
             pfs::FileHandle global_handle, const CacheFileParams& params,
             LockTable* locks, lfs::FileHandle cache_handle);
 
+  /// The one cache-write body behind write() and iwrite(): checks,
+  /// allocation, coherent lock, data and journal appends, quarantine
+  /// accounting, stats, extent map and sync request. With `wait` the
+  /// caller's clock advances after each device append, before anything is
+  /// published; returns the completion time of the appends.
+  Result<Time> append(const Extent& global, const DataView& data, bool wait);
   Status ensure_allocated(Offset needed_end);
   /// Quarantine bookkeeping for a failed local-device operation.
   void note_device_error(Errc code);
+  /// Instant event `name` on this cache's trace track (if tracing).
+  void trace_instant(const char* name);
   bool crash_now(bool in_flush);
 
   sim::Engine& engine_;

@@ -301,10 +301,14 @@ void SyncThread::finish_member(SyncRequest& member, bool durable) {
       log::warn("sync", "commit record failed: ", committed.to_string());
     }
   }
-  if (member.release_lock && locks_ != nullptr) {
-    locks_->unlock(global_path_, member.global);
+  release(member);
+}
+
+void SyncThread::release(SyncRequest& request) {
+  if (request.release_lock && locks_ != nullptr) {
+    locks_->unlock(global_path_, request.global);
   }
-  if (member.grequest.valid()) member.grequest.complete();
+  if (request.grequest.valid()) request.grequest.complete();
 }
 
 void SyncThread::run() {
@@ -332,12 +336,7 @@ void SyncThread::run() {
     if (cancelled_) {
       // Crash drain: no more I/O — just release waiters. The extents stay
       // un-synced in the (persistent) cache file for recover() to replay.
-      for (SyncRequest& member : batch) {
-        if (member.release_lock && locks_ != nullptr) {
-          locks_->unlock(global_path_, member.global);
-        }
-        if (member.grequest.valid()) member.grequest.complete();
-      }
+      for (SyncRequest& member : batch) release(member);
       continue;  // gather_batch ends the loop once the queue is empty
     }
 

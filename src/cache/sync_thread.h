@@ -98,6 +98,12 @@ class SyncThread {
   /// Queued extents stay un-synced — exactly what recover() replays.
   void cancel_drain_and_join();
 
+  /// Lets go of a request without making it durable: releases its coherent
+  /// lock and completes its grequest, so nothing waits on it. The last step
+  /// of every finished request, and all a crashed rank does with the ones
+  /// it still holds.
+  void release(SyncRequest& request);
+
   /// Point-in-time copy of the counters, safe to call from the owning rank
   /// while the worker runs (takes the stats mutex).
   SyncStats stats_snapshot() E10_EXCLUDES(stats_mutex_);
@@ -140,8 +146,8 @@ class SyncThread {
   /// when `may_block`) plus, with coalescing on, everything already queued
   /// whose remaining extent does not overlap the batch's coverage.
   Gather gather_batch(std::vector<SyncRequest>& batch, bool may_block);
-  /// Completes one finished member: journal commit, lock release,
-  /// grequest completion.
+  /// Completes one finished member: journal commit (when durable), then
+  /// release().
   void finish_member(SyncRequest& member, bool durable);
   /// Completes deferred batches the clock has already passed — free, no
   /// waiting. FIFO so commit records keep queue order.

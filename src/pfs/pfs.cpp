@@ -158,7 +158,7 @@ Result<FileHandle> Pfs::open(const std::string& path, std::size_t client_node,
   return handle;
 }
 
-Status Pfs::close(FileHandle handle) {
+Result<Pfs::OpenFile*> Pfs::metadata_rpc(FileHandle handle) {
   OpenFile* file = lookup(handle);
   if (file == nullptr) {
     return Status::error(Errc::invalid_argument, "pfs: bad handle");
@@ -168,10 +168,16 @@ Status Pfs::close(FileHandle handle) {
   }
   const Time done = metadata_roundtrip(file->client_node, engine_.now());
   engine_.advance_to(done);
+  return file;
+}
+
+Status Pfs::close(FileHandle handle) {
+  const auto file = metadata_rpc(handle);
+  if (!file.is_ok()) return file.status();
   // POSIX-style deferred removal: an unlinked-while-open inode loses its
   // namespace entry at unlink() time and its data when the last OpenFile's
   // shared_ptr drops here.
-  --file->inode->open_count;
+  --file.value()->inode->open_count;
   handles_.erase(handle);
   return Status::ok();
 }
@@ -364,31 +370,15 @@ Result<DataView> Pfs::read(FileHandle handle, Offset offset, Offset length) {
 }
 
 Result<FileInfo> Pfs::stat(FileHandle handle) {
-  OpenFile* file = lookup(handle);
-  if (file == nullptr) {
-    return Status::error(Errc::invalid_argument, "pfs: bad handle");
-  }
-  if (fault_ != nullptr) {
-    if (Status s = fault_->check(fault::FaultOp::pfs_metadata); !s) return s;
-  }
-  const Time done = metadata_roundtrip(file->client_node, engine_.now());
-  engine_.advance_to(done);
-  const Inode& inode = *file->inode;
+  const auto file = metadata_rpc(handle);
+  if (!file.is_ok()) return file.status();
+  const Inode& inode = *file.value()->inode;
   return FileInfo{inode.size, inode.layout.stripe_unit(),
                   inode.layout.stripe_count()};
 }
 
 Status Pfs::sync(FileHandle handle) {
-  OpenFile* file = lookup(handle);
-  if (file == nullptr) {
-    return Status::error(Errc::invalid_argument, "pfs: bad handle");
-  }
-  if (fault_ != nullptr) {
-    if (Status s = fault_->check(fault::FaultOp::pfs_metadata); !s) return s;
-  }
-  const Time done = metadata_roundtrip(file->client_node, engine_.now());
-  engine_.advance_to(done);
-  return Status::ok();
+  return metadata_rpc(handle).status();
 }
 
 Status Pfs::unlink(const std::string& path) {

@@ -197,6 +197,10 @@ class Pfs {
   };
 
   Time metadata_roundtrip(std::size_t client_node, Time now);
+  /// One metadata RPC on an open handle (close, stat, sync): handle
+  /// lookup, the pfs_metadata fault check, then the round trip to the
+  /// metadata server, charged to the caller.
+  Result<OpenFile*> metadata_rpc(FileHandle handle);
   Status write_impl(FileHandle handle, Offset offset, const DataView& data,
                     bool durable);
   Result<Time> write_async_impl(FileHandle handle, Offset offset,
