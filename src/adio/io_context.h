@@ -48,8 +48,7 @@ class PhaseScope {
   PhaseScope(IoContext& ctx, int rank, prof::Phase phase) {
     if (ctx.profiler != nullptr) scope_.emplace(*ctx.profiler, rank, phase);
     if (ctx.tracer != nullptr && ctx.tracer->enabled()) {
-      span_ = obs::Span(ctx.tracer, ctx.tracer->rank_track(rank),
-                        prof::phase_name(phase));
+      span_ = obs::Span(ctx.tracer, ctx.tracer->rank_track(rank), phase);
     }
   }
 

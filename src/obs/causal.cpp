@@ -14,10 +14,14 @@ CausalRecorder::CausalRecorder(sim::Engine& engine, Tracer* tracer)
       tracer_(tracer),
       state_var_(engine, "obs.causal.recorder") {
   engine_.set_causal_observer(this);
+  if (tracer_ != nullptr) tracer_->causal_ = this;
 }
 
 CausalRecorder::~CausalRecorder() {
   if (engine_.causal_observer() == this) engine_.set_causal_observer(nullptr);
+  if (tracer_ != nullptr && tracer_->causal_ == this) {
+    tracer_->causal_ = nullptr;
+  }
 }
 
 sim::CausalToken CausalRecorder::emit(sim::EdgeKind kind, sim::ProcessId pid,
@@ -37,14 +41,6 @@ void CausalRecorder::ack(sim::CausalToken token, sim::ProcessId pid, Time at) {
   // dependency (e.g. a rank waiting on a grequest it completed itself).
   if (src.pid == pid && src.at == at) return;
   acks_.push_back(Ack{token, pid, at});
-  if (tracer_ != nullptr && tracer_->enabled() && src.pid != pid) {
-    const int src_track = tracer_->pid_track(src.pid);
-    const int dst_track = tracer_->pid_track(pid);
-    if (src_track >= 0 && dst_track >= 0) {
-      tracer_->flow(src_track, src.at, dst_track, at, token,
-                    sim::edge_kind_name(src.kind));
-    }
-  }
 }
 
 void CausalRecorder::bridge(sim::EdgeKind kind, sim::ProcessId pid, Time issue,

@@ -4,14 +4,12 @@
 // engine itself) report emissions, acknowledgements, bridges and overlays
 // through the observer hook in sim/causal.h. This recorder stores them as
 // flat vectors over virtual time — the event DAG obs/critical_path.{h,cpp}
-// walks backward from job completion — and, when a Tracer is attached,
-// mirrors every cross-process acknowledgement as a Chrome-trace flow arrow
-// so the dependency is visible in the viewer, drawn between the lanes the
-// two processes last opened spans on.
+// walks backward from job completion. An attached Tracer draws each
+// cross-process acknowledgement as a Chrome-trace flow arrow at export.
 //
-// Attaching is RAII: construction registers with the engine, destruction
-// detaches. Recording never touches virtual time, so a recorded run stays
-// byte-identical to an unrecorded one.
+// Attaching is RAII: construction registers with the engine (and the
+// tracer, if given), destruction detaches. Recording never touches virtual
+// time, so a recorded run stays byte-identical to an unrecorded one.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +51,8 @@ class CausalRecorder : public sim::CausalObserver {
     Time end;
   };
 
-  /// Attaches to `engine`; `tracer` (optional) receives flow arrows for
-  /// cross-process acks when tracing is enabled.
+  /// Attaches to `engine` and, if given, to `tracer` (which must outlive
+  /// the recorder) so that its exports draw the flow arrows.
   explicit CausalRecorder(sim::Engine& engine, Tracer* tracer = nullptr);
   ~CausalRecorder() override;
   CausalRecorder(const CausalRecorder&) = delete;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <limits>
 #include <map>
-#include <unordered_map>
 
 #include "prof/profiler.h"
 
@@ -15,26 +14,51 @@ namespace {
 using sim::EdgeKind;
 using sim::ProcessId;
 
-/// Span-name -> category table. Innermost span wins on nesting, so outer
-/// workload wrappers (write_file, write_round) only absorb their own glue.
-PathCategory categorize(const std::string& name) {
-  if (name == "shuffle_all2all" || name == "exchange" ||
-      name == "shuffle_intra" || name == "shuffle_inter") {
-    return PathCategory::shuffle;
-  }
-  if (name == "write_contig" || name == "read_contig") {
-    return PathCategory::write;
-  }
-  if (name == "flush_batch" || name == "flush_wait" ||
-      name == "not_hidden_sync" || name == "close") {
-    return PathCategory::flush;
-  }
-  if (name == "compute" || name == "calc") return PathCategory::compute;
-  if (name == "open" || name == "offset_exchange" || name == "post_write" ||
-      name == "write_round" || name == "write_file") {
-    return PathCategory::coordination;
+/// Phase -> category table.
+PathCategory categorize(prof::Phase phase) {
+  switch (phase) {
+    case prof::Phase::shuffle_intra:
+    case prof::Phase::shuffle_all2all:
+    case prof::Phase::shuffle_inter:
+    case prof::Phase::exchange:
+      return PathCategory::shuffle;
+    case prof::Phase::write_contig:
+    case prof::Phase::read_contig:
+      return PathCategory::write;
+    case prof::Phase::flush_wait:
+    case prof::Phase::not_hidden_sync:
+    case prof::Phase::close:
+      return PathCategory::flush;
+    case prof::Phase::calc:
+      return PathCategory::compute;
+    case prof::Phase::open:
+    case prof::Phase::offset_exchange:
+    case prof::Phase::post_write:
+      return PathCategory::coordination;
+    case prof::Phase::count:
+      break;
   }
   return PathCategory::other;
+}
+
+/// Category of each interned span name, computed once per name. Innermost
+/// span wins on nesting, so outer workload wrappers (write_file,
+/// write_round) only absorb their own glue.
+std::vector<PathCategory> categorize(const Tracer& tracer) {
+  std::vector<PathCategory> out(tracer.names(), PathCategory::other);
+  for (NameId id = 0; id < out.size(); ++id) {
+    const std::string& name = tracer.name(id);
+    if (id < prof::kPhaseCount) {
+      out[id] = categorize(static_cast<prof::Phase>(id));
+    } else if (name == "flush_batch") {
+      out[id] = PathCategory::flush;
+    } else if (name == "compute") {
+      out[id] = PathCategory::compute;
+    } else if (name == "write_round" || name == "write_file") {
+      out[id] = PathCategory::coordination;
+    }
+  }
+  return out;
 }
 
 /// Flattened, innermost-wins segmentation of one process's spans. Gaps are
@@ -42,8 +66,7 @@ PathCategory categorize(const std::string& name) {
 struct FlatSeg {
   Time begin;
   Time end;
-  PathCategory category;
-  const std::string* name;
+  NameId name;
 };
 
 struct Lane {
@@ -52,27 +75,20 @@ struct Lane {
   Time last_end = 0;
 };
 
-struct LaneSpanRef {
-  Time begin;
-  Time end;
-  const std::string* name;
-};
-
-std::vector<FlatSeg> flatten(std::vector<LaneSpanRef> spans) {
+std::vector<FlatSeg> flatten(std::vector<FlatSeg> spans) {
   // Stable: coincident spans keep their recording order. An unstable sort
   // would let unrelated spans elsewhere on the lane (even zero-length ones)
   // decide which of two coincident spans wins.
   std::stable_sort(spans.begin(), spans.end(),
-            [](const LaneSpanRef& a, const LaneSpanRef& b) {
+            [](const FlatSeg& a, const FlatSeg& b) {
               if (a.begin != b.begin) return a.begin < b.begin;
               return a.end > b.end;  // outer first at equal begin
             });
   std::vector<FlatSeg> out;
-  std::vector<const LaneSpanRef*> stack;
+  std::vector<const FlatSeg*> stack;
   Time cursor = 0;
-  auto emit = [&](Time b, Time e, const LaneSpanRef* s) {
-    if (e <= b) return;
-    out.push_back(FlatSeg{b, e, categorize(*s->name), s->name});
+  auto emit = [&](Time b, Time e, const FlatSeg* s) {
+    if (e > b) out.push_back(FlatSeg{b, e, s->name});
   };
   std::size_t i = 0;
   while (i < spans.size() || !stack.empty()) {
@@ -102,8 +118,11 @@ class Walker {
  public:
   Walker(const Tracer& tracer, const CausalRecorder& recorder,
          CriticalPathReport& report)
-      : recorder_(recorder), report_(report) {
-    build_lanes(tracer);
+      : tracer_(tracer),
+        recorder_(recorder),
+        report_(report),
+        categories_(categorize(tracer)) {
+    build_lanes();
     build_events();
     build_overlays();
   }
@@ -166,17 +185,16 @@ class Walker {
   }
 
  private:
-  void build_lanes(const Tracer& tracer) {
-    std::map<ProcessId, std::vector<LaneSpanRef>> spans;
-    for (const Tracer::Event& e : tracer.event_list()) {
+  void build_lanes() {
+    std::map<ProcessId, std::vector<FlatSeg>> spans;
+    for (const Tracer::Event& e : tracer_.event_list()) {
       if (e.phase != 'X' || e.pid == sim::kNoProcess) continue;
-      spans[e.pid].push_back(LaneSpanRef{e.ts, e.ts + e.dur, &e.name});
+      spans[e.pid].push_back(FlatSeg{e.ts, e.ts + e.dur, e.name});
       Lane& lane = lanes_[e.pid];
       lane.track = e.track;
       lane.last_end = std::max(lane.last_end, e.ts + e.dur);
     }
     for (auto& [pid, list] : spans) lanes_[pid].segs = flatten(std::move(list));
-    tracks_ = &tracer.track_list();
   }
 
   void build_events() {
@@ -243,7 +261,7 @@ class Walker {
   void attribute_range(ProcessId pid, Time a, Time t) {
     if (t <= a) return;
     const auto it = lanes_.find(pid);
-    const std::string* label = nullptr;
+    const std::string* label = nullptr;  // innermost span name seen last
     std::array<Time, kPathCategoryCount> local{};
     Time cursor = a;
     if (it != lanes_.end()) {
@@ -259,7 +277,7 @@ class Walker {
               seg->begin - cursor;
         }
         if (e > b) {
-          PathCategory cat = seg->category;
+          PathCategory cat = categories_[seg->name];
           Time span_ns = e - b;
           if (cat == PathCategory::write || cat == PathCategory::flush) {
             const Time locked = overlay_within(pid, b, e);
@@ -267,7 +285,7 @@ class Walker {
             span_ns -= locked;
           }
           local[static_cast<std::size_t>(cat)] += span_ns;
-          label = seg->name;
+          label = &tracer_.name(seg->name);
         }
         cursor = std::max(cursor, e);
       }
@@ -337,9 +355,10 @@ class Walker {
     PathSegment seg;
     seg.pid = pid;
     const auto it = lanes_.find(pid);
-    if (it != lanes_.end() && it->second.track >= 0 && tracks_ != nullptr &&
-        static_cast<std::size_t>(it->second.track) < tracks_->size()) {
-      seg.process = (*tracks_)[static_cast<std::size_t>(it->second.track)].name;
+    const auto& tracks = tracer_.track_list();
+    if (it != lanes_.end() && it->second.track >= 0 &&
+        static_cast<std::size_t>(it->second.track) < tracks.size()) {
+      seg.process = tracks[static_cast<std::size_t>(it->second.track)].name;
     }
     seg.begin = begin;
     seg.end = end;
@@ -348,8 +367,10 @@ class Walker {
     report_.segments.push_back(std::move(seg));
   }
 
+  const Tracer& tracer_;
   const CausalRecorder& recorder_;
   CriticalPathReport& report_;
+  const std::vector<PathCategory> categories_;  // by span NameId
   // Ordered maps: the walker iterates these while choosing its starting
   // lane and building per-pid state, and report content must never depend
   // on hash-iteration order (e10_lint unordered-iteration).
@@ -357,35 +378,24 @@ class Walker {
   std::map<ProcessId, std::vector<PidEvent>> events_;
   std::map<ProcessId, std::size_t> cursors_;
   std::map<ProcessId, std::vector<CausalRecorder::Overlay>> overlays_;
-  const std::vector<Tracer::TrackInfo>* tracks_ = nullptr;
 };
 
-/// Rank index from a "rank N" track name; -1 otherwise.
-int rank_of_track(const std::string& name) {
-  if (name.rfind("rank ", 0) != 0) return -1;
-  int rank = 0;
-  for (std::size_t i = 5; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return -1;
-    rank = rank * 10 + (name[i] - '0');
-  }
-  return name.size() > 5 ? rank : -1;
+/// Rank of the rank track a span is on; -1 for any other track.
+int rank_of(const Tracer& tracer, const Tracer::Event& e) {
+  const auto track = static_cast<std::size_t>(e.track);
+  const auto& tracks = tracer.track_list();
+  return track < tracks.size() ? tracks[track].rank : -1;
 }
 
 void fill_rank_skew(const Tracer& tracer, CriticalPathReport& report) {
-  std::map<int, Time> ends;  // track -> last span end
+  std::map<int, Time> ends;  // rank -> last span end on its track
   for (const Tracer::Event& e : tracer.event_list()) {
-    if (e.phase != 'X') continue;
-    Time& end = ends[e.track];
+    if (e.phase != 'X' || rank_of(tracer, e) < 0) continue;
+    Time& end = ends[rank_of(tracer, e)];
     end = std::max(end, e.ts + e.dur);
   }
   std::vector<Time> rank_ends;
-  const auto& tracks = tracer.track_list();
-  for (const auto& [track, end] : ends) {
-    if (static_cast<std::size_t>(track) >= tracks.size()) continue;
-    if (rank_of_track(tracks[static_cast<std::size_t>(track)].name) >= 0) {
-      rank_ends.push_back(end);
-    }
-  }
+  for (const auto& [rank, end] : ends) rank_ends.push_back(end);
   if (rank_ends.empty()) return;
   std::sort(rank_ends.begin(), rank_ends.end());
   report.rank_end_min_ns = rank_ends.front();
@@ -398,56 +408,41 @@ void fill_rank_skew(const Tracer& tracer, CriticalPathReport& report) {
   }
 }
 
-/// Phase groups the consistency check compares (exact PhaseScope names, so
-/// the trace and profiler see the same intervals).
-struct PhaseGroup {
-  const char* name;
-  std::vector<const char*> spans;
-  std::vector<prof::Phase> phases;
-};
-
 void fill_consistency(const Tracer& tracer, const prof::Profiler* profiler,
                       CriticalPathReport& report) {
   if (profiler == nullptr) return;
-  const std::vector<PhaseGroup> groups = {
-      {"shuffle",
-       {"shuffle_intra", "shuffle_all2all", "shuffle_inter", "exchange"},
-       {prof::Phase::shuffle_intra, prof::Phase::shuffle_all2all,
-        prof::Phase::shuffle_inter, prof::Phase::exchange}},
-      {"write",
-       {"write_contig", "read_contig"},
-       {prof::Phase::write_contig, prof::Phase::read_contig}},
-      // not_hidden_sync is deliberately absent: it is a workflow-level
-      // timer around the deferred close with no PhaseScope span of its own.
-      {"flush", {"flush_wait"}, {prof::Phase::flush_wait}},
+  // Phase groups the consistency check compares. PhaseScope records each
+  // phase in both sinks, so the trace and profiler see the same intervals.
+  // not_hidden_sync is deliberately absent: it is a workflow-level timer
+  // around the deferred close with no PhaseScope span of its own.
+  using prof::Phase;
+  const std::vector<std::vector<Phase>> groups = {
+      {Phase::shuffle_intra, Phase::shuffle_all2all, Phase::shuffle_inter,
+       Phase::exchange},
+      {Phase::write_contig, Phase::read_contig},
+      {Phase::flush_wait},
   };
-  const auto& tracks = tracer.track_list();
-  // (rank, group) -> traced nanoseconds
-  std::unordered_map<std::int64_t, Time> traced;
+  // [rank][phase] -> traced nanoseconds
+  std::vector<std::array<Time, prof::kPhaseCount>> traced(
+      static_cast<std::size_t>(profiler->ranks()));
   for (const Tracer::Event& e : tracer.event_list()) {
-    if (e.phase != 'X') continue;
-    if (static_cast<std::size_t>(e.track) >= tracks.size()) continue;
-    const int rank =
-        rank_of_track(tracks[static_cast<std::size_t>(e.track)].name);
-    if (rank < 0 || rank >= profiler->ranks()) continue;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      for (const char* span : groups[g].spans) {
-        if (e.name == span) {
-          traced[rank * 8 + static_cast<std::int64_t>(g)] += e.dur;
-        }
-      }
+    const int rank = rank_of(tracer, e);
+    if (e.phase == 'X' && e.name < prof::kPhaseCount && rank >= 0 &&
+        rank < profiler->ranks()) {
+      traced[static_cast<std::size_t>(rank)][e.name] += e.dur;
     }
   }
   double dev = 0.0;
   for (int rank = 0; rank < profiler->ranks(); ++rank) {
-    for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (const std::vector<Phase>& group : groups) {
       Time expected = 0;
-      for (const prof::Phase phase : groups[g].phases) {
+      Time got = 0;
+      for (const Phase phase : group) {
         expected += profiler->rank_total(rank, phase);
+        got += traced[static_cast<std::size_t>(rank)]
+                     [static_cast<std::size_t>(phase)];
       }
       if (expected <= 0) continue;
-      const auto it = traced.find(rank * 8 + static_cast<std::int64_t>(g));
-      const Time got = it != traced.end() ? it->second : 0;
       const double rel =
           static_cast<double>(got > expected ? got - expected
                                              : expected - got) /

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
 
 namespace e10::obs {
@@ -146,6 +147,15 @@ void json_escape(std::string_view text, std::string& out) {
         }
     }
   }
+}
+
+Status write_text_file(const std::string& path, std::string_view body) {
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  if (!file) return Status::error(Errc::io_error, "cannot open " + path);
+  file.write(body.data(), static_cast<std::streamsize>(body.size()));
+  file.flush();
+  if (!file) return Status::error(Errc::io_error, "write failed: " + path);
+  return Status::ok();
 }
 
 namespace {

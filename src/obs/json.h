@@ -91,4 +91,8 @@ class Json {
 /// quotes). Shared with the streaming trace-event writer.
 void json_escape(std::string_view text, std::string& out);
 
+/// Writes `body` to `path`, replacing any previous content. Shared by the
+/// run-report and trace writers.
+Status write_text_file(const std::string& path, std::string_view body);
+
 }  // namespace e10::obs

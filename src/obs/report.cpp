@@ -1,7 +1,6 @@
 #include "obs/report.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "common/units.h"
 
@@ -74,15 +73,7 @@ double flush_overlap_ratio(const MetricsRegistry& metrics,
 }
 
 Status write_json_file(const std::string& path, const Json& value) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) {
-    return Status::error(Errc::io_error, "report: cannot open " + path);
-  }
-  const std::string body = value.dump(2) + "\n";
-  file.write(body.data(), static_cast<std::streamsize>(body.size()));
-  file.flush();
-  if (!file) return Status::error(Errc::io_error, "report: write failed");
-  return Status::ok();
+  return write_text_file(path, value.dump(2) + "\n");
 }
 
 }  // namespace e10::obs

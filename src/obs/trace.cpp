@@ -1,14 +1,27 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <utility>
 
+#include "obs/causal.h"
 #include "obs/json.h"
 
 namespace e10::obs {
 
 Span::Span(Tracer* tracer, int track, std::string_view name) {
-  if (tracer == nullptr || !tracer->enabled()) return;
+  if (tracer != nullptr && tracer->enabled()) {
+    start(tracer, track, tracer->intern(name));
+  }
+}
+
+Span::Span(Tracer* tracer, int track, prof::Phase phase) {
+  if (tracer != nullptr && tracer->enabled()) {
+    start(tracer, track, static_cast<NameId>(phase));
+  }
+}
+
+void Span::start(Tracer* tracer, int track, NameId name) {
   tracer_ = tracer;
   track_ = track;
   name_ = name;
@@ -16,19 +29,17 @@ Span::Span(Tracer* tracer, int track, std::string_view name) {
   pid_ = tracer->engine_.in_process() ? tracer->engine_.current()
                                       : sim::kNoProcess;
   ++tracer->open_spans_;
-  if (pid_ != sim::kNoProcess) tracer->pid_tracks_[pid_] = track;
 }
 
 Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {
     end();
-    tracer_ = other.tracer_;
+    tracer_ = std::exchange(other.tracer_, nullptr);
     track_ = other.track_;
+    name_ = other.name_;
     start_ = other.start_;
     pid_ = other.pid_;
-    name_ = std::move(other.name_);
     args_ = std::move(other.args_);
-    other.tracer_ = nullptr;
   }
   return *this;
 }
@@ -44,19 +55,28 @@ void Span::arg(std::string_view key, std::string_view value) {
       SpanArg{std::string(key), std::string(value), 0, /*numeric=*/false});
 }
 
-void Span::end() {
-  if (tracer_ == nullptr) return;
-  Tracer::Event event;
-  event.phase = 'X';
-  event.track = track_;
-  event.ts = start_;
-  event.dur = tracer_->engine_.now() - start_;
-  event.pid = pid_;
-  event.name = std::move(name_);
-  event.args = std::move(args_);
-  tracer_->events_.push_back(std::move(event));
+void Span::record() {
+  tracer_->events_.push_back(Tracer::Event{'X', track_, name_, start_,
+                                           tracer_->engine_.now() - start_, 0,
+                                           pid_, std::move(args_)});
   --tracer_->open_spans_;
   tracer_ = nullptr;
+}
+
+void Tracer::set_enabled(bool on) {
+  enabled_ = on;
+  // Phases first (id == enum value), on first enable: none when untraced.
+  for (std::size_t p = names_.size(); on && p < prof::kPhaseCount; ++p) {
+    intern(prof::phase_name(static_cast<prof::Phase>(p)));
+  }
+}
+
+NameId Tracer::intern(std::string_view name) {
+  const auto it = name_ids_.find(name);
+  if (it != name_ids_.end()) return it->second;
+  const auto id = static_cast<NameId>(names_.size());
+  name_ids_.emplace(names_.emplace_back(name), id);
+  return id;
 }
 
 int Tracer::track(const std::string& name, int sort_index) {
@@ -78,62 +98,27 @@ int Tracer::rank_track(int rank) {
   if (index >= rank_tracks_.size()) rank_tracks_.resize(index + 1, -1);
   if (rank_tracks_[index] < 0) {
     rank_tracks_[index] = track("rank " + std::to_string(rank), rank);
+    tracks_[static_cast<std::size_t>(rank_tracks_[index])].rank = rank;
   }
   return rank_tracks_[index];
 }
 
-void Tracer::counter(const std::string& name, std::int64_t value) {
+void Tracer::counter(std::string_view name, std::int64_t value) {
   if (!enabled_) return;
-  Event event;
-  event.phase = 'C';
-  event.track = 0;
-  event.ts = engine_.now();
-  event.value = value;
-  event.name = name;
-  events_.push_back(std::move(event));
+  events_.push_back(Event{'C', 0, intern(name), engine_.now(), 0, value,
+                          sim::kNoProcess, {}});
 }
 
 void Tracer::instant(int track_id, std::string_view name) {
   if (!enabled_) return;
-  Event event;
-  event.phase = 'i';
-  event.track = track_id;
-  event.ts = engine_.now();
-  event.name = std::string(name);
-  events_.push_back(std::move(event));
-}
-
-void Tracer::flow(int src_track, Time src_ts, int dst_track, Time dst_ts,
-                  std::uint64_t id, std::string_view name) {
-  if (!enabled_) return;
-  // Chrome requires the start's timestamp to be <= the finish's.
-  if (dst_ts < src_ts) dst_ts = src_ts;
-  Event start;
-  start.phase = 's';
-  start.track = src_track;
-  start.ts = src_ts;
-  start.flow_id = id;
-  start.name = std::string(name);
-  events_.push_back(std::move(start));
-  Event finish;
-  finish.phase = 'f';
-  finish.track = dst_track;
-  finish.ts = dst_ts;
-  finish.flow_id = id;
-  finish.name = std::string(name);
-  events_.push_back(std::move(finish));
-}
-
-int Tracer::pid_track(sim::ProcessId pid) const {
-  const auto it = pid_tracks_.find(pid);
-  return it == pid_tracks_.end() ? -1 : it->second;
+  events_.push_back(Event{'i', track_id, intern(name), engine_.now(), 0, 0,
+                          sim::kNoProcess, {}});
 }
 
 void Tracer::clear() {
   tracks_.clear();
   track_ids_.clear();
   rank_tracks_.clear();
-  pid_tracks_.clear();
   events_.clear();
   open_spans_ = 0;
 }
@@ -196,18 +181,22 @@ std::string Tracer::to_json() const {
            std::to_string(tracks_[i].sort_index) + "}}";
   }
 
-  for (const Event& event : events_) {
+  auto head = [&](char phase, int track, std::string_view name, Time ts) {
     comma();
     out += "{\"ph\":\"";
-    out += event.phase;
-    out += "\",\"pid\":0,\"tid\":";
-    out += std::to_string(event.track);
-    out += ",\"name\":\"";
-    json_escape(event.name, out);
+    out += phase;
+    out += "\",\"pid\":0,\"tid\":" + std::to_string(track) + ",\"name\":\"";
+    json_escape(name, out);
     out += "\",\"ts\":";
-    append_us(out, event.ts);
+    append_us(out, ts);
+  };
+  // Each process's lane: the track of its last span, as the analyzer has it.
+  std::unordered_map<sim::ProcessId, int> lanes;
+  for (const Event& event : events_) {
+    head(event.phase, event.track, names_[event.name], event.ts);
     switch (event.phase) {
       case 'X':
+        if (event.pid != sim::kNoProcess) lanes[event.pid] = event.track;
         out += ",\"dur\":";
         append_us(out, event.dur);
         if (!event.args.empty()) {
@@ -223,31 +212,32 @@ std::string Tracer::to_json() const {
       case 'i':
         out += ",\"s\":\"t\"";
         break;
-      case 's':
-      case 'f':
-        out += ",\"cat\":\"causal\",\"id\":";
-        out += std::to_string(event.flow_id);
-        if (event.phase == 'f') out += ",\"bp\":\"e\"";
-        break;
-      default:
-        break;
     }
     out += '}';
+  }
+
+  if (causal_ != nullptr) {
+    for (const CausalRecorder::Ack& ack : causal_->acks()) {
+      const CausalRecorder::Emission& src = causal_->source_of(ack);
+      if (src.pid == ack.pid) continue;
+      const auto from = lanes.find(src.pid);
+      const auto to = lanes.find(ack.pid);
+      if (from == lanes.end() || to == lanes.end()) continue;
+      const std::string_view name = sim::edge_kind_name(src.kind);
+      const std::string id = std::to_string(ack.token);
+      head('s', from->second, name, src.at);
+      out += ",\"cat\":\"causal\",\"id\":" + id + '}';
+      // Chrome requires the start's timestamp to be <= the finish's.
+      head('f', to->second, name, std::max(ack.at, src.at));
+      out += ",\"cat\":\"causal\",\"id\":" + id + ",\"bp\":\"e\"}";
+    }
   }
   out += "\n],\"displayTimeUnit\":\"ms\"}\n";
   return out;
 }
 
 Status Tracer::write(const std::string& path) const {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) {
-    return Status::error(Errc::io_error, "trace: cannot open " + path);
-  }
-  const std::string body = to_json();
-  file.write(body.data(), static_cast<std::streamsize>(body.size()));
-  file.flush();
-  if (!file) return Status::error(Errc::io_error, "trace: write failed");
-  return Status::ok();
+  return write_text_file(path, to_json());
 }
 
 }  // namespace e10::obs

@@ -7,10 +7,15 @@
 // counter samples (e.g. sync queue depth over time). The output loads
 // directly in chrome://tracing or https://ui.perfetto.dev.
 //
+// Each fact is stored once: event names are interned ids (a phase's id is
+// its prof::Phase value), and flow arrows are drawn at export from the
+// attached CausalRecorder's acks instead of being stored as events.
+//
 // Tracing is off by default; a Span on a disabled tracer costs one branch.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -18,11 +23,16 @@
 
 #include "common/status.h"
 #include "common/units.h"
+#include "prof/profiler.h"
 #include "sim/engine.h"
 
 namespace e10::obs {
 
+class CausalRecorder;
 class Tracer;
+
+/// Interned event name; ids below prof::kPhaseCount are the phases.
+using NameId = std::uint32_t;
 
 /// One key/value attribute attached to a span ("args" in the trace JSON).
 struct SpanArg {
@@ -39,6 +49,7 @@ class Span {
  public:
   Span() = default;
   Span(Tracer* tracer, int track, std::string_view name);
+  Span(Tracer* tracer, int track, prof::Phase phase);
   Span(Span&& other) noexcept { *this = std::move(other); }
   Span& operator=(Span&& other) noexcept;
   Span(const Span&) = delete;
@@ -50,16 +61,19 @@ class Span {
   void arg(std::string_view key, std::string_view value);
 
   /// Ends the span now instead of at destruction.
-  void end();
+  void end() { if (tracer_ != nullptr) record(); }
 
   bool active() const { return tracer_ != nullptr; }
 
  private:
+  void start(Tracer* tracer, int track, NameId name);
+  void record();
+
   Tracer* tracer_ = nullptr;
   int track_ = 0;
+  NameId name_ = 0;
   Time start_ = 0;
   sim::ProcessId pid_ = sim::kNoProcess;
-  std::string name_;
   std::vector<SpanArg> args_;
 };
 
@@ -71,17 +85,17 @@ class Tracer {
   struct Event {
     char phase = 'X';
     int track = 0;
+    NameId name = 0;
     Time ts = 0;
     Time dur = 0;
     std::int64_t value = 0;  // counter sample
-    std::uint64_t flow_id = 0;  // flow ('s'/'f') pairing id
     sim::ProcessId pid = sim::kNoProcess;
-    std::string name;
     std::vector<SpanArg> args;
   };
   struct TrackInfo {
     std::string name;
     int sort_index = 0;
+    int rank = -1;  // set by rank_track; -1 for non-rank tracks
   };
 
   explicit Tracer(sim::Engine& engine) : engine_(engine) {}
@@ -89,7 +103,7 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
+  void set_enabled(bool on);
 
   /// Registers (or looks up) a named track — one "thread" row in the
   /// viewer. `sort_index` orders tracks top-to-bottom; -1 appends after
@@ -100,23 +114,15 @@ class Tracer {
   int rank_track(int rank);
 
   /// Counter sample: plots `value` over virtual time as its own series.
-  void counter(const std::string& name, std::int64_t value);
+  void counter(std::string_view name, std::int64_t value);
 
   /// Zero-duration marker on a track.
   void instant(int track, std::string_view name);
 
-  /// Paired flow arrow ('s' at the source, 'f' at the destination) for one
-  /// causal edge; both halves share `id` so every start has its finish.
-  /// Emitted together, at ack time, so the pairing is structural.
-  void flow(int src_track, Time src_ts, int dst_track, Time dst_ts,
-            std::uint64_t id, std::string_view name);
-
-  /// Track a simulated process last opened a span on (-1 = none seen);
-  /// lets edge recorders draw flows between existing lanes.
-  int pid_track(sim::ProcessId pid) const;
+  const std::string& name(NameId id) const { return names_[id]; }
+  std::size_t names() const { return names_.size(); }
 
   std::size_t events() const { return events_.size(); }
-  std::size_t tracks() const { return tracks_.size(); }
   /// Spans constructed but not yet ended. A clean run ends at zero; a
   /// dangling-open span (lost on an error path) never reaches the JSON, so
   /// the fault smoke asserts this instead of grepping the output.
@@ -126,22 +132,31 @@ class Tracer {
   void clear();
 
   /// Chrome trace-event JSON: {"traceEvents": [...]} with thread-name
-  /// metadata, complete ("X") spans, counter ("C") samples and instant
-  /// ("i") markers. Timestamps are virtual microseconds.
+  /// metadata, complete ("X") spans, counter ("C") samples, instant ("i")
+  /// markers and one flow arrow ('s'/'f' pair, id = token) per recorded
+  /// cross-process ack between the two processes' lanes, the tracks their
+  /// spans are on. Timestamps are virtual microseconds.
   std::string to_json() const;
 
   Status write(const std::string& path) const;
 
  private:
   friend class Span;
+  friend class CausalRecorder;  // attaches itself for the flow arrows
+
+  /// Id of `name`, registering it on first use (only while enabled).
+  NameId intern(std::string_view name);
 
   sim::Engine& engine_;
   bool enabled_ = false;
   std::size_t open_spans_ = 0;
+  const CausalRecorder* causal_ = nullptr;
   std::vector<TrackInfo> tracks_;
   std::unordered_map<std::string, int> track_ids_;
   std::vector<int> rank_tracks_;  // rank -> track id (-1 unregistered)
-  std::unordered_map<sim::ProcessId, int> pid_tracks_;
+  // A deque never moves its elements, so the map's views stay valid.
+  std::deque<std::string> names_;
+  std::unordered_map<std::string_view, NameId> name_ids_;
   std::vector<Event> events_;
 };
 

@@ -1,5 +1,5 @@
-// CausalRecorder: edge recording semantics and the flow arrows it mirrors
-// into the tracer.
+// CausalRecorder: edge recording semantics and the flow arrows an attached
+// tracer draws from it.
 #include "obs/causal.h"
 
 #include <gtest/gtest.h>
@@ -126,6 +126,60 @@ TEST(Causal, CrossPidAcksEmitPairedFlowArrows) {
   EXPECT_EQ(start->at("name").as_string(), "message");
   EXPECT_NE(start->at("tid").as_int(), finish->at("tid").as_int());
   EXPECT_LE(start->at("ts").as_number(), finish->at("ts").as_number());
+}
+
+TEST(Causal, AckBeforeFirstSpanStillDrawsItsArrow) {
+  // A sync thread's first pickup: it acks the enqueue before it has opened
+  // any span, then flushes under a span on its own track. The arrow is drawn
+  // between the lanes the two processes' spans are on, whenever those spans
+  // were opened. A process that never opens a span has no lane and gets no
+  // arrow.
+  sim::Engine engine;
+  Tracer tracer(engine);
+  tracer.set_enabled(true);
+  CausalRecorder recorder(engine, &tracer);
+  const int rank = tracer.rank_track(0);
+  const int sync = tracer.track("sync r0 /out/f", 2000);
+
+  sim::CausalToken token = 0;
+  engine.spawn("rank", [&] {
+    Span span(&tracer, rank, "write_contig");
+    engine.delay(milliseconds(1));
+    token = engine.emit_edge(EdgeKind::sync_queue, engine.now());
+    engine.delay(milliseconds(3));
+  });
+  engine.spawn("sync", [&] {
+    engine.delay(milliseconds(2));
+    engine.ack_edge(token, 0);
+    Span span(&tracer, sync, "flush_batch");
+    engine.delay(milliseconds(1));
+  });
+  engine.spawn("laneless", [&] {
+    engine.delay(milliseconds(2));
+    engine.ack_edge(token, 0);
+  });
+  engine.run();
+
+  ASSERT_EQ(recorder.acks().size(), 2u);
+  const auto parsed = Json::parse(tracer.to_json());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
+  std::vector<const Json*> starts;
+  std::vector<const Json*> finishes;
+  for (const Json& e : parsed.value().at("traceEvents").elements()) {
+    const std::string& ph = e.at("ph").as_string();
+    if (ph == "s") starts.push_back(&e);
+    if (ph == "f") finishes.push_back(&e);
+  }
+  ASSERT_EQ(starts.size(), 1u);
+  ASSERT_EQ(finishes.size(), 1u);
+  EXPECT_EQ(starts[0]->at("name").as_string(), "sync_queue");
+  EXPECT_EQ(finishes[0]->at("name").as_string(), "sync_queue");
+  EXPECT_EQ(starts[0]->at("id").as_int(), static_cast<std::int64_t>(token));
+  EXPECT_EQ(finishes[0]->at("id").as_int(), static_cast<std::int64_t>(token));
+  EXPECT_EQ(starts[0]->at("tid").as_int(), rank);
+  EXPECT_EQ(finishes[0]->at("tid").as_int(), sync);
+  EXPECT_DOUBLE_EQ(starts[0]->at("ts").as_number(), 1000.0);
+  EXPECT_DOUBLE_EQ(finishes[0]->at("ts").as_number(), 2000.0);
 }
 
 TEST(Causal, ProcessJoinRecordsFinishEdge) {

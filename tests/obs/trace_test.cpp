@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/units.h"
+#include "obs/causal.h"
 #include "obs/json.h"
 
 namespace e10::obs {
@@ -49,7 +50,7 @@ TEST(Trace, NestedSpansOnDistinctTracks) {
   });
   engine.run();
   EXPECT_EQ(tracer.events(), 3u);
-  EXPECT_EQ(tracer.tracks(), 2u);
+  EXPECT_EQ(tracer.track_list().size(), 2u);
 
   const auto parsed = Json::parse(tracer.to_json());
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
@@ -184,17 +185,30 @@ TEST(Trace, OpenSpanCounterSeesLeaks) {
 }
 
 TEST(Trace, FlowEventsArePairedAndOrdered) {
+  // Flow arrows are drawn at export from the attached recorder's acks.
   sim::Engine engine;
   Tracer tracer(engine);
   tracer.set_enabled(true);
-  const int src = tracer.rank_track(0);
-  const int dst = tracer.rank_track(1);
-  tracer.flow(src, units::milliseconds(1), dst, units::milliseconds(2), 7,
-              "message");
-  // Destination timestamps are clamped to the source: Chrome refuses to
-  // render arrows that point backwards in time.
-  tracer.flow(src, units::milliseconds(5), dst, units::milliseconds(3), 8,
-              "stale");
+  CausalRecorder recorder(engine, &tracer);
+  sim::CausalToken message = 0;
+  sim::CausalToken future = 0;
+  engine.spawn("src", [&] {
+    Span span(&tracer, tracer.rank_track(0), "shuffle_all2all");
+    engine.delay(units::milliseconds(1));
+    message = engine.emit_edge(sim::EdgeKind::message, engine.now());
+    // An emission stamped in the emitter's future, acked before that.
+    future = engine.emit_edge(sim::EdgeKind::collective,
+                              units::milliseconds(5));
+  });
+  engine.spawn("dst", [&] {
+    Span span(&tracer, tracer.rank_track(1), "exchange");
+    engine.delay(units::milliseconds(2));
+    engine.ack_edge(message, 0);
+    engine.delay(units::milliseconds(1));
+    engine.ack_edge(future, 0);
+  });
+  engine.run();
+  ASSERT_EQ(recorder.acks().size(), 2u);
 
   const auto parsed = Json::parse(tracer.to_json());
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
@@ -215,6 +229,11 @@ TEST(Trace, FlowEventsArePairedAndOrdered) {
     EXPECT_LE(pair.first->at("ts").as_number(),
               pair.second->at("ts").as_number());
   }
+  // Destination timestamps are clamped to the source: Chrome refuses to
+  // render arrows that point backwards in time (ack at 3 ms, source 5 ms).
+  const auto& late = pairs.at(static_cast<std::int64_t>(future));
+  EXPECT_DOUBLE_EQ(late.first->at("ts").as_number(), 5000.0);
+  EXPECT_DOUBLE_EQ(late.second->at("ts").as_number(), 5000.0);
 }
 
 TEST(Trace, ChromeSchemaIsSane) {
@@ -224,19 +243,21 @@ TEST(Trace, ChromeSchemaIsSane) {
   sim::Engine engine;
   Tracer tracer(engine);
   tracer.set_enabled(true);
+  CausalRecorder recorder(engine, &tracer);
+  sim::CausalToken token = 0;
   engine.spawn("r0", [&] {
     Span span(&tracer, tracer.rank_track(0), "exchange");
     engine.delay(units::milliseconds(1));
     tracer.counter("depth", 1);
     tracer.instant(tracer.rank_track(0), "mark");
+    token = engine.emit_edge(sim::EdgeKind::message, engine.now());
   });
   engine.spawn("r1", [&] {
     Span span(&tracer, tracer.rank_track(1), "write_contig");
     engine.delay(units::milliseconds(2));
+    engine.ack_edge(token, 0);
   });
   engine.run();
-  tracer.flow(tracer.rank_track(0), units::milliseconds(1),
-              tracer.rank_track(1), units::milliseconds(2), 1, "message");
 
   const auto parsed = Json::parse(tracer.to_json());
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
@@ -260,9 +281,62 @@ TEST(Trace, ChromeSchemaIsSane) {
     if (ph == "s") ++flow_balance[e.at("id").as_int()];
     if (ph == "f") --flow_balance[e.at("id").as_int()];
   }
+  EXPECT_EQ(flow_balance.size(), 1u);
   for (const auto& [id, balance] : flow_balance) {
     EXPECT_EQ(balance, 0) << "unpaired flow id " << id;
   }
+}
+
+TEST(Trace, NamesAreInternedWithPhasesFirst) {
+  // A phase's name id is its enum value, and a span named by string shares
+  // the id of the phase with that name; the JSON names are unchanged. The
+  // names are registered when tracing is first enabled.
+  sim::Engine engine;
+  Tracer tracer(engine);
+  EXPECT_EQ(tracer.names(), 0u);
+  tracer.set_enabled(true);
+  ASSERT_EQ(tracer.names(), prof::kPhaseCount);
+  for (std::size_t p = 0; p < prof::kPhaseCount; ++p) {
+    EXPECT_EQ(tracer.name(static_cast<NameId>(p)),
+              prof::phase_name(static_cast<prof::Phase>(p)));
+  }
+  engine.spawn("p", [&] {
+    { Span span(&tracer, tracer.rank_track(0), prof::Phase::close); }
+    { Span span(&tracer, tracer.rank_track(0), "close"); }
+    { Span span(&tracer, tracer.rank_track(0), "compute"); }
+    { Span span(&tracer, tracer.rank_track(0), "compute"); }
+  });
+  engine.run();
+  tracer.set_enabled(false);
+  tracer.set_enabled(true);  // re-enabling registers nothing twice
+  ASSERT_EQ(tracer.events(), 4u);
+  EXPECT_EQ(tracer.names(), prof::kPhaseCount + 1);
+  const auto& events = tracer.event_list();
+  EXPECT_EQ(events[0].name, static_cast<NameId>(prof::Phase::close));
+  EXPECT_EQ(events[1].name, static_cast<NameId>(prof::Phase::close));
+  EXPECT_EQ(events[2].name, static_cast<NameId>(prof::kPhaseCount));
+  EXPECT_EQ(events[3].name, events[2].name);
+  EXPECT_EQ(tracer.name(events[2].name), "compute");
+  const auto parsed = Json::parse(tracer.to_json());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
+  int closes = 0;
+  for (const Json& e : parsed.value().at("traceEvents").elements()) {
+    if (e.at("ph").as_string() == "X" && e.at("name").as_string() == "close") {
+      ++closes;
+    }
+  }
+  EXPECT_EQ(closes, 2);
+}
+
+TEST(Trace, RankTracksKnowTheirRank) {
+  sim::Engine engine;
+  Tracer tracer(engine);
+  const int faults = tracer.track("faults");
+  const int rank3 = tracer.rank_track(3);
+  EXPECT_EQ(tracer.track_list()[static_cast<std::size_t>(rank3)].rank, 3);
+  EXPECT_EQ(tracer.track_list()[static_cast<std::size_t>(rank3)].name,
+            "rank 3");
+  EXPECT_EQ(tracer.track_list()[static_cast<std::size_t>(faults)].rank, -1);
 }
 
 TEST(Trace, ClearResetsEvents) {
