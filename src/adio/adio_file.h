@@ -62,8 +62,10 @@ struct AdioFile {
   std::unique_ptr<cache::CacheFile> cache;
 
   // Aggregators for this file, fixed at open (ROMIO computes them from
-  // cb_nodes / cb_config_list at open time).
+  // cb_nodes / cb_config_list at open time), and this rank's slot in them
+  // (-1 when it is not one), resolved at the same time.
   std::vector<int> aggregators;
+  int aggregator_slot = -1;
 
   // Two-level collective-write exchange (docs/two_level.md), resolved once
   // at open from e10_two_level_flag and the communicator topology: active
@@ -72,9 +74,9 @@ struct AdioFile {
 
   Offset stripe_unit = 0;  // resolved at open from the PFS file
 
-  bool is_aggregator() const;
+  bool is_aggregator() const { return aggregator_slot >= 0; }
   /// Index within aggregators[] or -1.
-  int aggregator_index() const;
+  int aggregator_index() const { return aggregator_slot; }
 
   int rank() const { return comm.rank(); }
 };

@@ -28,15 +28,6 @@ Status agree_status(const mpi::Comm& comm, const Status& mine) {
   return Status::error(static_cast<Errc>(worst), "error on a peer rank");
 }
 
-bool AdioFile::is_aggregator() const { return aggregator_index() >= 0; }
-
-int AdioFile::aggregator_index() const {
-  const auto it =
-      std::find(aggregators.begin(), aggregators.end(), comm.rank());
-  if (it == aggregators.end()) return -1;
-  return static_cast<int>(it - aggregators.begin());
-}
-
 std::pair<Driver, std::string> parse_driver_path(const std::string& path) {
   if (path.starts_with("ufs:")) return {Driver::ufs, path.substr(4)};
   if (path.starts_with("beegfs:")) return {Driver::beegfs, path.substr(7)};
@@ -128,6 +119,11 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
 
   fd->aggregators = select_aggregators(comm, fd->hints.cb_nodes,
                                        fd->hints.cb_config_per_node);
+  const auto slot = std::find(fd->aggregators.begin(), fd->aggregators.end(),
+                              comm.rank());
+  if (slot != fd->aggregators.end()) {
+    fd->aggregator_slot = static_cast<int>(slot - fd->aggregators.begin());
+  }
 
   // Two-level exchange resolution (docs/two_level.md): the hint decides,
   // with "automatic" keyed to the topology; the intra-node gather stage only

@@ -125,7 +125,6 @@ Status write_strided_coll(AdioFile& fd,
   std::vector<int> leader_ranks;     // all leaders, ascending world rank
   std::size_t my_leader_index = 0;   // my leader's position in leader_ranks
   std::vector<int> my_members;       // leader only: my node's ranks (incl. me)
-  std::size_t my_agg_index = 0;      // aggregator only: index in fd.aggregators
   // Per leader index: the [min start, max end) hull of that node's rank
   // extents, (kNoOffset, kNoOffset) when the node has no data. Every rank
   // computes the same hulls from the step-1 allgather, so senders and
@@ -151,11 +150,6 @@ Status write_strided_coll(AdioFile& fd,
       }
     }
     if (me == my_leader) my_members = comm.node_ranks(comm.node());
-    if (fd.is_aggregator()) {
-      my_agg_index = static_cast<std::size_t>(
-          std::find(fd.aggregators.begin(), fd.aggregators.end(), me) -
-          fd.aggregators.begin());
-    }
   }
   // Round-r window of aggregator a's file domain (empty when the domain is
   // exhausted), and whether leader l's hull touches it. A leader owes each
@@ -341,7 +335,8 @@ Status write_strided_coll(AdioFile& fd,
     {
       PhaseScope scope(ctx, me, prof::Phase::shuffle_inter);
       if (fd.is_aggregator()) {
-        const Extent my_window = window(my_agg_index, round);
+        const Extent my_window =
+            window(static_cast<std::size_t>(fd.aggregator_index()), round);
         for (std::size_t l = 0; l < leader_ranks.size(); ++l) {
           if (leader_ranks[l] == me) continue;
           if (!overlaps(node_hull[l], my_window)) continue;

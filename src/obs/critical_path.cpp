@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
-#include <map>
+#include <numeric>
+#include <optional>
+#include <span>
 
 #include "prof/profiler.h"
 
@@ -69,12 +71,6 @@ struct FlatSeg {
   NameId name;
 };
 
-struct Lane {
-  std::vector<FlatSeg> segs;  // sorted by begin, non-overlapping
-  int track = -1;
-  Time last_end = 0;
-};
-
 std::vector<FlatSeg> flatten(std::vector<FlatSeg> spans) {
   // Stable: coincident spans keep their recording order. An unstable sort
   // would let unrelated spans elsewhere on the lane (even zero-length ones)
@@ -108,10 +104,49 @@ std::vector<FlatSeg> flatten(std::vector<FlatSeg> spans) {
   return out;
 }
 
+/// Items grouped by pid with a counting sort, pids up to the largest seen:
+/// pid p's items are [offsets[p], offsets[p + 1]) in the order `each` gave
+/// them. `each(put)` calls put(pid, item) per item, twice (count, place).
+template <typename T>
+struct ByPid {
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<T> items;
+
+  template <typename Each>
+  explicit ByPid(Each each) {
+    each([&](ProcessId pid, const T&) {
+      if (pid == sim::kNoProcess) return;
+      if (pid >= pids()) offsets.resize(pid + 2, 0);
+      ++offsets[pid + 1];
+    });
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    items.resize(offsets.back());
+    std::vector<std::uint32_t> next(offsets.begin(), offsets.end() - 1);
+    each([&](ProcessId pid, const T& item) {
+      if (pid != sim::kNoProcess) items[next[pid]++] = item;
+    });
+  }
+
+  template <typename Key>  // a pointer to T's sort-key member
+  void sort_each(Key key) {
+    for (ProcessId pid = 0; pid < pids(); ++pid) {
+      const std::span<T> list = of(pid);
+      std::sort(list.begin(), list.end(),
+                [key](const T& a, const T& b) { return a.*key < b.*key; });
+    }
+  }
+
+  std::size_t pids() const { return offsets.size() - 1; }
+  std::span<T> of(ProcessId pid) {
+    if (pid >= pids()) return {};
+    return {items.data() + offsets[pid], items.data() + offsets[pid + 1]};
+  }
+};
+
 struct PidEvent {  // one ack or bridge, per-pid, for the backward walk
   Time at;          // ack time / bridge done time
+  std::uint32_t index;  // into recorder.acks() / recorder.bridges()
   bool is_bridge;
-  std::size_t index;  // into recorder.acks() / recorder.bridges()
 };
 
 class Walker {
@@ -121,21 +156,46 @@ class Walker {
       : tracer_(tracer),
         recorder_(recorder),
         report_(report),
-        categories_(categorize(tracer)) {
-    build_lanes();
-    build_events();
-    build_overlays();
+        categories_(categorize(tracer)),
+        spans_([&](auto put) {
+          const auto& events = tracer.event_list();
+          for (std::uint32_t i = 0; i < events.size(); ++i) {
+            if (events[i].phase == 'X') put(events[i].pid, i);
+          }
+        }),
+        events_([&](auto put) {
+          const auto& acks = recorder.acks();
+          for (std::uint32_t i = 0; i < acks.size(); ++i) {
+            put(acks[i].pid, PidEvent{acks[i].at, i, false});
+          }
+          const auto& bridges = recorder.bridges();
+          for (std::uint32_t i = 0; i < bridges.size(); ++i) {
+            put(bridges[i].pid, PidEvent{bridges[i].done, i, true});
+          }
+        }),
+        overlays_([&](auto put) {
+          for (const auto& o : recorder.overlays()) put(o.pid, o);
+        }),
+        cursors_(events_.offsets.begin() + 1, events_.offsets.end()),
+        lanes_(spans_.pids()) {
+    events_.sort_each(&PidEvent::at);
+    overlays_.sort_each(&CausalRecorder::Overlay::begin);
   }
 
   void run() {
     ProcessId pid = sim::kNoProcess;
     Time t = 0;
     // Ties (several ranks finishing at the same virtual time — the normal
-    // case at a final join) break toward the smallest pid so the walk's
-    // starting lane never depends on container iteration order.
-    for (const auto& [lane_pid, lane] : lanes_) {
-      if (lane.last_end > t || (lane.last_end == t && pid == sim::kNoProcess)) {
-        t = lane.last_end;
+    // case at a final join) break toward the smallest pid: lanes are
+    // visited in ascending pid order and only a later end replaces one.
+    const auto& events = tracer_.event_list();
+    for (ProcessId lane_pid = 0; lane_pid < spans_.pids(); ++lane_pid) {
+      Time end = -1;  // stays -1 for a pid without a lane
+      for (const std::uint32_t i : spans_.of(lane_pid)) {
+        end = std::max(end, events[i].ts + events[i].dur);
+      }
+      if (end > t || (end == t && pid == sim::kNoProcess)) {
+        t = end;
         pid = lane_pid;
       }
     }
@@ -185,59 +245,30 @@ class Walker {
   }
 
  private:
-  void build_lanes() {
-    std::map<ProcessId, std::vector<FlatSeg>> spans;
-    for (const Tracer::Event& e : tracer_.event_list()) {
-      if (e.phase != 'X' || e.pid == sim::kNoProcess) continue;
-      spans[e.pid].push_back(FlatSeg{e.ts, e.ts + e.dur, e.name});
-      Lane& lane = lanes_[e.pid];
-      lane.track = e.track;
-      lane.last_end = std::max(lane.last_end, e.ts + e.dur);
-    }
-    for (auto& [pid, list] : spans) lanes_[pid].segs = flatten(std::move(list));
-  }
-
-  void build_events() {
-    for (std::size_t i = 0; i < recorder_.acks().size(); ++i) {
-      events_[recorder_.acks()[i].pid].push_back(
-          PidEvent{recorder_.acks()[i].at, false, i});
-    }
-    for (std::size_t i = 0; i < recorder_.bridges().size(); ++i) {
-      events_[recorder_.bridges()[i].pid].push_back(
-          PidEvent{recorder_.bridges()[i].done, true, i});
-    }
-    for (auto& [pid, list] : events_) {
-      std::sort(list.begin(), list.end(),
-                [](const PidEvent& a, const PidEvent& b) {
-                  return a.at < b.at;
-                });
-      cursors_[pid] = list.size();
-    }
-  }
-
-  void build_overlays() {
-    for (const CausalRecorder::Overlay& o : recorder_.overlays()) {
-      overlays_[o.pid].push_back(o);
-    }
-    for (auto& [pid, list] : overlays_) {
-      std::sort(list.begin(), list.end(),
-                [](const CausalRecorder::Overlay& a,
-                   const CausalRecorder::Overlay& b) {
-                  return a.begin < b.begin;
-                });
-    }
-  }
-
   /// Latest unconsumed ack/bridge for pid at or before t; consumes it.
   /// Per-lane walk positions only move backward, so a cursor suffices.
   const PidEvent* take_binding(ProcessId pid, Time t) {
-    const auto it = events_.find(pid);
-    if (it == events_.end()) return nullptr;
-    std::vector<PidEvent>& list = it->second;
-    std::size_t& cursor = cursors_[pid];
-    while (cursor > 0 && list[cursor - 1].at > t) --cursor;
-    if (cursor == 0) return nullptr;
-    return &list[--cursor];
+    if (pid >= events_.pids()) return nullptr;
+    const std::uint32_t first = events_.offsets[pid];
+    std::uint32_t& cursor = cursors_[pid];
+    while (cursor > first && events_.items[cursor - 1].at > t) --cursor;
+    if (cursor == first) return nullptr;
+    return &events_.items[--cursor];
+  }
+
+  /// pid's flattened spans, built on the walk's first visit to the lane.
+  std::span<const FlatSeg> segments(ProcessId pid) {
+    if (pid >= lanes_.size()) return {};
+    std::optional<std::vector<FlatSeg>>& lane = lanes_[pid];
+    if (!lane) {
+      std::vector<FlatSeg> spans;
+      for (const std::uint32_t i : spans_.of(pid)) {
+        const Tracer::Event& e = tracer_.event_list()[i];
+        spans.push_back(FlatSeg{e.ts, e.ts + e.dur, e.name});
+      }
+      lane = flatten(std::move(spans));
+    }
+    return *lane;
   }
 
   void add(PathCategory c, Time ns) {
@@ -246,10 +277,8 @@ class Walker {
 
   /// Lock-wait overlay time for pid within [b, e).
   Time overlay_within(ProcessId pid, Time b, Time e) {
-    const auto it = overlays_.find(pid);
-    if (it == overlays_.end()) return 0;
     Time covered = 0;
-    for (const CausalRecorder::Overlay& o : it->second) {
+    for (const CausalRecorder::Overlay& o : overlays_.of(pid)) {
       if (o.begin >= e) break;
       covered += std::max<Time>(0, std::min(o.end, e) - std::max(o.begin, b));
     }
@@ -260,35 +289,32 @@ class Walker {
   /// lock-wait overlays inside write/flush segments are re-labelled.
   void attribute_range(ProcessId pid, Time a, Time t) {
     if (t <= a) return;
-    const auto it = lanes_.find(pid);
     const std::string* label = nullptr;  // innermost span name seen last
     std::array<Time, kPathCategoryCount> local{};
     Time cursor = a;
-    if (it != lanes_.end()) {
-      const std::vector<FlatSeg>& segs = it->second.segs;
-      auto seg = std::lower_bound(
-          segs.begin(), segs.end(), a,
-          [](const FlatSeg& s, Time value) { return s.end <= value; });
-      for (; seg != segs.end() && seg->begin < t; ++seg) {
-        const Time b = std::max(cursor, seg->begin);
-        const Time e = std::min(t, seg->end);
-        if (seg->begin > cursor) {
-          local[static_cast<std::size_t>(PathCategory::idle)] +=
-              seg->begin - cursor;
-        }
-        if (e > b) {
-          PathCategory cat = categories_[seg->name];
-          Time span_ns = e - b;
-          if (cat == PathCategory::write || cat == PathCategory::flush) {
-            const Time locked = overlay_within(pid, b, e);
-            local[static_cast<std::size_t>(PathCategory::lock_wait)] += locked;
-            span_ns -= locked;
-          }
-          local[static_cast<std::size_t>(cat)] += span_ns;
-          label = &tracer_.name(seg->name);
-        }
-        cursor = std::max(cursor, e);
+    const std::span<const FlatSeg> segs = segments(pid);
+    auto seg = std::lower_bound(
+        segs.begin(), segs.end(), a,
+        [](const FlatSeg& s, Time value) { return s.end <= value; });
+    for (; seg != segs.end() && seg->begin < t; ++seg) {
+      const Time b = std::max(cursor, seg->begin);
+      const Time e = std::min(t, seg->end);
+      if (seg->begin > cursor) {
+        local[static_cast<std::size_t>(PathCategory::idle)] +=
+            seg->begin - cursor;
       }
+      if (e > b) {
+        PathCategory cat = categories_[seg->name];
+        Time span_ns = e - b;
+        if (cat == PathCategory::write || cat == PathCategory::flush) {
+          const Time locked = overlay_within(pid, b, e);
+          local[static_cast<std::size_t>(PathCategory::lock_wait)] += locked;
+          span_ns -= locked;
+        }
+        local[static_cast<std::size_t>(cat)] += span_ns;
+        label = &tracer_.name(seg->name);
+      }
+      cursor = std::max(cursor, e);
     }
     if (cursor < t) {
       local[static_cast<std::size_t>(PathCategory::idle)] += t - cursor;
@@ -352,64 +378,61 @@ class Walker {
                       std::string label) {
     if (end <= begin) return;
     if (report_.segments.size() >= CriticalPathReport::kMaxSegments) return;
-    PathSegment seg;
-    seg.pid = pid;
-    const auto it = lanes_.find(pid);
+    // The lane's track is the track of its last span.
+    const std::span<std::uint32_t> spans = spans_.of(pid);
     const auto& tracks = tracer_.track_list();
-    if (it != lanes_.end() && it->second.track >= 0 &&
-        static_cast<std::size_t>(it->second.track) < tracks.size()) {
-      seg.process = tracks[static_cast<std::size_t>(it->second.track)].name;
-    }
-    seg.begin = begin;
-    seg.end = end;
-    seg.category = cat;
-    seg.label = std::move(label);
-    report_.segments.push_back(std::move(seg));
+    const int track =
+        spans.empty() ? -1 : tracer_.event_list()[spans.back()].track;
+    const bool named =
+        track >= 0 && static_cast<std::size_t>(track) < tracks.size();
+    report_.segments.push_back(PathSegment{
+        named ? tracks[static_cast<std::size_t>(track)].name : std::string(),
+        begin, end, cat, std::move(label)});
   }
 
   const Tracer& tracer_;
   const CausalRecorder& recorder_;
   CriticalPathReport& report_;
   const std::vector<PathCategory> categories_;  // by span NameId
-  // Ordered maps: the walker iterates these while choosing its starting
-  // lane and building per-pid state, and report content must never depend
-  // on hash-iteration order (e10_lint unordered-iteration).
-  std::map<ProcessId, Lane> lanes_;
-  std::map<ProcessId, std::vector<PidEvent>> events_;
-  std::map<ProcessId, std::size_t> cursors_;
-  std::map<ProcessId, std::vector<CausalRecorder::Overlay>> overlays_;
+  // Per-pid state, indexed by ProcessId.
+  ByPid<std::uint32_t> spans_;  // indices into tracer.event_list()
+  ByPid<PidEvent> events_;      // sorted by `at`
+  ByPid<CausalRecorder::Overlay> overlays_;  // sorted by `begin`
+  std::vector<std::uint32_t> cursors_;  // end of pid's unconsumed events_
+  // Flattened on first visit: sorted by begin, non-overlapping.
+  std::vector<std::optional<std::vector<FlatSeg>>> lanes_;
 };
 
-/// Rank of the rank track a span is on; -1 for any other track.
-int rank_of(const Tracer& tracer, const Tracer::Event& e) {
-  const auto track = static_cast<std::size_t>(e.track);
+/// Per-rank skew over the rank tracks' last span ends and, with a profiler,
+/// the phase self-check: one pass over the rank tracks' spans.
+void fill_rank_stats(const Tracer& tracer, const prof::Profiler* profiler,
+                     CriticalPathReport& report) {
   const auto& tracks = tracer.track_list();
-  return track < tracks.size() ? tracks[track].rank : -1;
-}
-
-void fill_rank_skew(const Tracer& tracer, CriticalPathReport& report) {
-  std::map<int, Time> ends;  // rank -> last span end on its track
+  int ranks = profiler != nullptr ? profiler->ranks() : 0;
+  for (const Tracer::TrackInfo& t : tracks) ranks = std::max(ranks, t.rank + 1);
+  // rank -> last span end on its track (-1: no span); [rank][phase] -> ns.
+  std::vector<Time> rank_ends(static_cast<std::size_t>(ranks), -1);
+  std::vector<std::array<Time, prof::kPhaseCount>> traced(rank_ends.size());
   for (const Tracer::Event& e : tracer.event_list()) {
-    if (e.phase != 'X' || rank_of(tracer, e) < 0) continue;
-    Time& end = ends[rank_of(tracer, e)];
-    end = std::max(end, e.ts + e.dur);
+    const auto track = static_cast<std::size_t>(e.track);
+    const int rank = track < tracks.size() ? tracks[track].rank : -1;
+    if (e.phase != 'X' || rank < 0) continue;
+    const auto r = static_cast<std::size_t>(rank);
+    rank_ends[r] = std::max(rank_ends[r], e.ts + e.dur);
+    if (e.name < prof::kPhaseCount) traced[r][e.name] += e.dur;
   }
-  std::vector<Time> rank_ends;
-  for (const auto& [rank, end] : ends) rank_ends.push_back(end);
-  if (rank_ends.empty()) return;
+  std::erase(rank_ends, Time{-1});
   std::sort(rank_ends.begin(), rank_ends.end());
-  report.rank_end_min_ns = rank_ends.front();
-  report.rank_end_max_ns = rank_ends.back();
-  report.rank_end_p50_ns = rank_ends[(rank_ends.size() - 1) / 2];
+  if (!rank_ends.empty()) {
+    report.rank_end_min_ns = rank_ends.front();
+    report.rank_end_max_ns = rank_ends.back();
+    report.rank_end_p50_ns = rank_ends[(rank_ends.size() - 1) / 2];
+  }
   if (rank_ends.size() > 1 && rank_ends.back() > 0) {
     report.rank_skew =
         static_cast<double>(rank_ends.back() - rank_ends.front()) /
         static_cast<double>(rank_ends.back());
   }
-}
-
-void fill_consistency(const Tracer& tracer, const prof::Profiler* profiler,
-                      CriticalPathReport& report) {
   if (profiler == nullptr) return;
   // Phase groups the consistency check compares. PhaseScope records each
   // phase in both sinks, so the trace and profiler see the same intervals.
@@ -422,17 +445,6 @@ void fill_consistency(const Tracer& tracer, const prof::Profiler* profiler,
       {Phase::write_contig, Phase::read_contig},
       {Phase::flush_wait},
   };
-  // [rank][phase] -> traced nanoseconds
-  std::vector<std::array<Time, prof::kPhaseCount>> traced(
-      static_cast<std::size_t>(profiler->ranks()));
-  for (const Tracer::Event& e : tracer.event_list()) {
-    const int rank = rank_of(tracer, e);
-    if (e.phase == 'X' && e.name < prof::kPhaseCount && rank >= 0 &&
-        rank < profiler->ranks()) {
-      traced[static_cast<std::size_t>(rank)][e.name] += e.dur;
-    }
-  }
-  double dev = 0.0;
   for (int rank = 0; rank < profiler->ranks(); ++rank) {
     for (const std::vector<Phase>& group : groups) {
       Time expected = 0;
@@ -447,10 +459,10 @@ void fill_consistency(const Tracer& tracer, const prof::Profiler* profiler,
           static_cast<double>(got > expected ? got - expected
                                              : expected - got) /
           static_cast<double>(expected);
-      dev = std::max(dev, rel);
+      report.phase_consistency_dev =
+          std::max(report.phase_consistency_dev, rel);
     }
   }
-  report.phase_consistency_dev = dev;
 }
 
 double seconds(Time ns) { return static_cast<double>(ns) / 1e9; }
@@ -458,19 +470,11 @@ double seconds(Time ns) { return static_cast<double>(ns) / 1e9; }
 }  // namespace
 
 const char* path_category_name(PathCategory category) {
-  switch (category) {
-    case PathCategory::shuffle: return "shuffle";
-    case PathCategory::write: return "write";
-    case PathCategory::flush: return "flush";
-    case PathCategory::lock_wait: return "lock_wait";
-    case PathCategory::nic_contention: return "nic_contention";
-    case PathCategory::compute: return "compute";
-    case PathCategory::coordination: return "coordination";
-    case PathCategory::idle: return "idle";
-    case PathCategory::other: return "other";
-    case PathCategory::count: break;
-  }
-  return "?";
+  static constexpr const char* kNames[kPathCategoryCount] = {
+      "shuffle", "write",        "flush", "lock_wait", "nic_contention",
+      "compute", "coordination", "idle",  "other"};
+  const auto c = static_cast<std::size_t>(category);
+  return c < kPathCategoryCount ? kNames[c] : "?";
 }
 
 CriticalPathReport analyze_critical_path(const Tracer& tracer,
@@ -493,8 +497,7 @@ CriticalPathReport analyze_critical_path(const Tracer& tracer,
       report.total_ns > 0
           ? static_cast<double>(named) / static_cast<double>(report.total_ns)
           : 1.0;
-  fill_rank_skew(tracer, report);
-  fill_consistency(tracer, profiler, report);
+  fill_rank_stats(tracer, profiler, report);
   return report;
 }
 
@@ -529,12 +532,11 @@ Json critical_path_json(const CriticalPathReport& report,
     for (std::size_t p = 0; p < prof::kPhaseCount; ++p) {
       const auto phase = static_cast<prof::Phase>(p);
       Json row = Json::object();
-      row.set("p50_s",
-              Json::number(seconds(profiler->percentile_over_ranks(phase, 0.50))));
-      row.set("p95_s",
-              Json::number(seconds(profiler->percentile_over_ranks(phase, 0.95))));
-      row.set("p99_s",
-              Json::number(seconds(profiler->percentile_over_ranks(phase, 0.99))));
+      for (const auto& [key, q] :
+           {std::pair{"p50_s", 0.50}, {"p95_s", 0.95}, {"p99_s", 0.99}}) {
+        row.set(key, Json::number(seconds(
+                         profiler->percentile_over_ranks(phase, q))));
+      }
       row.set("max_s", Json::number(seconds(profiler->max_over_ranks(phase))));
       tails.set(prof::phase_name(phase), std::move(row));
     }

@@ -53,8 +53,7 @@ const char* path_category_name(PathCategory category);
 
 /// One contiguous on-path segment (diagnostics; capped in the report).
 struct PathSegment {
-  sim::ProcessId pid = sim::kNoProcess;
-  std::string process;  ///< engine name of pid ("rank 3", "sync:/out/f")
+  std::string process;  ///< lane track name ("rank 3", "sync r8 /pfs/f")
   Time begin = 0;
   Time end = 0;
   PathCategory category = PathCategory::other;

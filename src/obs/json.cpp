@@ -192,38 +192,23 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       json_escape(str_, out);
       out += '"';
       return;
-    case Kind::array: {
-      if (arr_.empty()) {
-        out += "[]";
-        return;
-      }
-      out += '[';
-      for (std::size_t i = 0; i < arr_.size(); ++i) {
-        if (i > 0) out += ',';
-        if (indent > 0) append_indent(out, indent, depth + 1);
-        arr_[i].dump_to(out, indent, depth + 1);
-      }
-      if (indent > 0) append_indent(out, indent, depth);
-      out += ']';
-      return;
-    }
+    case Kind::array:
     case Kind::object: {
-      if (obj_.empty()) {
-        out += "{}";
-        return;
-      }
-      out += '{';
-      for (std::size_t i = 0; i < obj_.size(); ++i) {
+      const bool object = kind_ == Kind::object;
+      const std::size_t count = object ? obj_.size() : arr_.size();
+      out += object ? '{' : '[';
+      for (std::size_t i = 0; i < count; ++i) {
         if (i > 0) out += ',';
         if (indent > 0) append_indent(out, indent, depth + 1);
-        out += '"';
-        json_escape(obj_[i].first, out);
-        out += "\":";
-        if (indent > 0) out += ' ';
-        obj_[i].second.dump_to(out, indent, depth + 1);
+        if (object) {
+          out += '"';
+          json_escape(obj_[i].first, out);
+          out += indent > 0 ? "\": " : "\":";
+        }
+        (object ? obj_[i].second : arr_[i]).dump_to(out, indent, depth + 1);
       }
-      if (indent > 0) append_indent(out, indent, depth);
-      out += '}';
+      if (indent > 0 && count > 0) append_indent(out, indent, depth);
+      out += object ? '}' : ']';
       return;
     }
   }

@@ -13,12 +13,11 @@ Json phase_table_json(const prof::Profiler& profiler) {
     Json row = Json::object();
     row.set("min_s", Json::number(
                          units::to_seconds(profiler.min_over_ranks(phase))));
-    row.set("p50_s", Json::number(units::to_seconds(
-                         profiler.percentile_over_ranks(phase, 0.50))));
-    row.set("p95_s", Json::number(units::to_seconds(
-                         profiler.percentile_over_ranks(phase, 0.95))));
-    row.set("p99_s", Json::number(units::to_seconds(
-                         profiler.percentile_over_ranks(phase, 0.99))));
+    for (const auto& [key, q] :
+         {std::pair{"p50_s", 0.50}, {"p95_s", 0.95}, {"p99_s", 0.99}}) {
+      row.set(key, Json::number(units::to_seconds(
+                       profiler.percentile_over_ranks(phase, q))));
+    }
     row.set("avg_s", Json::number(
                          units::to_seconds(profiler.avg_over_ranks(phase))));
     row.set("max_s", Json::number(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <utility>
 
 #include "obs/causal.h"
 #include "obs/json.h"
@@ -34,31 +33,34 @@ void Span::start(Tracer* tracer, int track, NameId name) {
 Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {
     end();
-    tracer_ = std::exchange(other.tracer_, nullptr);
-    track_ = other.track_;
-    name_ = other.name_;
-    start_ = other.start_;
-    pid_ = other.pid_;
-    args_ = std::move(other.args_);
+    *this = static_cast<const Span&>(other);
+    other.tracer_ = nullptr;
   }
   return *this;
 }
 
 void Span::arg(std::string_view key, std::int64_t value) {
   if (tracer_ == nullptr) return;
-  args_.push_back(SpanArg{std::string(key), {}, value, /*numeric=*/true});
+  add_arg({tracer_->intern(key), 0, value, kNoArg, true});
 }
 
 void Span::arg(std::string_view key, std::string_view value) {
   if (tracer_ == nullptr) return;
-  args_.push_back(
-      SpanArg{std::string(key), std::string(value), 0, /*numeric=*/false});
+  add_arg({tracer_->intern(key), tracer_->intern(value), 0, kNoArg, false});
+}
+
+void Span::add_arg(const SpanArg& arg) {
+  std::vector<SpanArg>& pool = tracer_->args_;
+  const auto index = static_cast<ArgIndex>(pool.size());
+  pool.push_back(arg);
+  (last_arg_ == kNoArg ? first_arg_ : pool[last_arg_].next) = index;
+  last_arg_ = index;
 }
 
 void Span::record() {
-  tracer_->events_.push_back(Tracer::Event{'X', track_, name_, start_,
-                                           tracer_->engine_.now() - start_, 0,
-                                           pid_, std::move(args_)});
+  tracer_->events_.push_back(Tracer::Event{start_,
+                                           tracer_->engine_.now() - start_,
+                                           pid_, track_, name_, first_arg_});
   --tracer_->open_spans_;
   tracer_ = nullptr;
 }
@@ -105,14 +107,14 @@ int Tracer::rank_track(int rank) {
 
 void Tracer::counter(std::string_view name, std::int64_t value) {
   if (!enabled_) return;
-  events_.push_back(Event{'C', 0, intern(name), engine_.now(), 0, value,
-                          sim::kNoProcess, {}});
+  events_.push_back(Event{engine_.now(), value, sim::kNoProcess, 0,
+                          intern(name), kNoArg, 'C'});
 }
 
 void Tracer::instant(int track_id, std::string_view name) {
   if (!enabled_) return;
-  events_.push_back(Event{'i', track_id, intern(name), engine_.now(), 0, 0,
-                          sim::kNoProcess, {}});
+  events_.push_back(Event{engine_.now(), 0, sim::kNoProcess, track_id,
+                          intern(name), kNoArg, 'i'});
 }
 
 void Tracer::clear() {
@@ -120,6 +122,7 @@ void Tracer::clear() {
   track_ids_.clear();
   rank_tracks_.clear();
   events_.clear();
+  args_.clear();
   open_spans_ = 0;
 }
 
@@ -132,24 +135,6 @@ void append_us(std::string& out, Time ns) {
                 static_cast<long long>(ns / 1000),
                 static_cast<long long>(ns % 1000));
   out += buf;
-}
-
-void append_args(std::string& out, const std::vector<SpanArg>& args) {
-  out += "\"args\":{";
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (i > 0) out += ',';
-    out += '"';
-    json_escape(args[i].key, out);
-    out += "\":";
-    if (args[i].numeric) {
-      out += std::to_string(args[i].value);
-    } else {
-      out += '"';
-      json_escape(args[i].text, out);
-      out += '"';
-    }
-  }
-  out += '}';
 }
 
 }  // namespace
@@ -199,14 +184,27 @@ std::string Tracer::to_json() const {
         if (event.pid != sim::kNoProcess) lanes[event.pid] = event.track;
         out += ",\"dur\":";
         append_us(out, event.dur);
-        if (!event.args.empty()) {
-          out += ',';
-          append_args(out, event.args);
+        if (event.args == kNoArg) break;
+        out += ",\"args\":{";
+        for (ArgIndex i = event.args; i != kNoArg; i = args_[i].next) {
+          const SpanArg& arg = args_[i];
+          if (i != event.args) out += ',';
+          out += '"';
+          json_escape(names_[arg.key], out);
+          out += "\":";
+          if (arg.numeric) {
+            out += std::to_string(arg.value);
+          } else {
+            out += '"';
+            json_escape(names_[arg.text], out);
+            out += '"';
+          }
         }
+        out += '}';
         break;
       case 'C':
         out += ",\"args\":{\"value\":";
-        out += std::to_string(event.value);
+        out += std::to_string(event.dur);
         out += '}';
         break;
       case 'i':

@@ -7,9 +7,10 @@
 // counter samples (e.g. sync queue depth over time). The output loads
 // directly in chrome://tracing or https://ui.perfetto.dev.
 //
-// Each fact is stored once: event names are interned ids (a phase's id is
-// its prof::Phase value), and flow arrows are drawn at export from the
-// attached CausalRecorder's acks instead of being stored as events.
+// Each fact is stored once: event names and arg keys are interned ids (a
+// phase's id is its prof::Phase value), span args live in one Tracer-owned
+// pool, and flow arrows are drawn at export from the attached
+// CausalRecorder's acks instead of being stored as events.
 //
 // Tracing is off by default; a Span on a disabled tracer costs one branch.
 #pragma once
@@ -34,11 +35,18 @@ class Tracer;
 /// Interned event name; ids below prof::kPhaseCount are the phases.
 using NameId = std::uint32_t;
 
+/// Index into the Tracer's arg pool; kNoArg ends a span's chain.
+using ArgIndex = std::uint32_t;
+inline constexpr ArgIndex kNoArg = ~ArgIndex{0};
+
 /// One key/value attribute attached to a span ("args" in the trace JSON).
+/// A span's args are chained through `next` in insertion order: spans nest
+/// and fibers interleave, so they are not contiguous in the pool.
 struct SpanArg {
-  std::string key;
-  std::string text;        // when !numeric
+  NameId key = 0;
+  NameId text = 0;         // interned value, when !numeric
   std::int64_t value = 0;  // when numeric
+  ArgIndex next = kNoArg;
   bool numeric = false;
 };
 
@@ -53,7 +61,6 @@ class Span {
   Span(Span&& other) noexcept { *this = std::move(other); }
   Span& operator=(Span&& other) noexcept;
   Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
   ~Span() { end(); }
 
   /// Attaches an attribute (no-op on an inactive span).
@@ -66,7 +73,10 @@ class Span {
   bool active() const { return tracer_ != nullptr; }
 
  private:
+  // Copies every field; only the move uses it, and then disarms the source.
+  Span& operator=(const Span&) = default;
   void start(Tracer* tracer, int track, NameId name);
+  void add_arg(const SpanArg& arg);
   void record();
 
   Tracer* tracer_ = nullptr;
@@ -74,8 +84,11 @@ class Span {
   NameId name_ = 0;
   Time start_ = 0;
   sim::ProcessId pid_ = sim::kNoProcess;
-  std::vector<SpanArg> args_;
+  ArgIndex first_arg_ = kNoArg;
+  ArgIndex last_arg_ = kNoArg;
 };
+// Every PhaseScope on every fiber stack holds one.
+static_assert(sizeof(Span) <= 56);
 
 class Tracer {
  public:
@@ -83,14 +96,13 @@ class Tracer {
   /// that emitted them so the critical-path analyzer (critical_path.h) can
   /// join lanes against causal edges, which are keyed by ProcessId.
   struct Event {
-    char phase = 'X';
+    Time ts = 0;
+    Time dur = 0;  // a span's duration; a counter's ('C') sample value
+    sim::ProcessId pid = sim::kNoProcess;
     int track = 0;
     NameId name = 0;
-    Time ts = 0;
-    Time dur = 0;
-    std::int64_t value = 0;  // counter sample
-    sim::ProcessId pid = sim::kNoProcess;
-    std::vector<SpanArg> args;
+    ArgIndex args = kNoArg;  // first of a span's args in the pool
+    char phase = 'X';
   };
   struct TrackInfo {
     std::string name;
@@ -129,6 +141,7 @@ class Tracer {
   std::size_t open_spans() const { return open_spans_; }
   const std::vector<Event>& event_list() const { return events_; }
   const std::vector<TrackInfo>& track_list() const { return tracks_; }
+  /// Drops tracks, events and args; no span may be open across it.
   void clear();
 
   /// Chrome trace-event JSON: {"traceEvents": [...]} with thread-name
@@ -158,6 +171,8 @@ class Tracer {
   std::deque<std::string> names_;
   std::unordered_map<std::string_view, NameId> name_ids_;
   std::vector<Event> events_;
+  std::vector<SpanArg> args_;
 };
+static_assert(sizeof(Tracer::Event) <= 40);
 
 }  // namespace e10::obs

@@ -240,6 +240,160 @@ TEST(CriticalPath, RankSkewFromTrackCompletionTimes) {
   EXPECT_DOUBLE_EQ(report.rank_skew, 0.5);
 }
 
+TEST(CriticalPath, NonContiguousPidsCrossLanes) {
+  // Lanes on pids 0, 2 and 4; pids 1 and 3 record nothing. The receiver
+  // (pid 0) waits on a message from the sender (pid 4); pid 2's compute is
+  // off the path. Path: receiver (3, 5] + edge (2, 3] + sender (0, 2], all
+  // shuffle.
+  sim::Engine engine;
+  Tracer tracer(engine);
+  tracer.set_enabled(true);
+  CausalRecorder recorder(engine);
+
+  sim::CausalToken token = 0;
+  engine.spawn("receiver", [&] {
+    Span span(&tracer, tracer.rank_track(0), "exchange");
+    engine.delay(milliseconds(3));
+    recorder.ack(token, engine.current(), engine.now());
+    engine.delay(milliseconds(2));
+  });
+  engine.spawn("quiet1", [] {});
+  engine.spawn("bystander", [&] {
+    Span span(&tracer, tracer.rank_track(2), "compute");
+    engine.delay(milliseconds(1));
+  });
+  engine.spawn("quiet3", [] {});
+  engine.spawn("sender", [&] {
+    Span span(&tracer, tracer.rank_track(1), "shuffle_all2all");
+    engine.delay(milliseconds(2));
+    token = recorder.emit(EdgeKind::message, engine.current(), engine.now());
+  });
+  engine.run();
+
+  const CriticalPathReport report =
+      analyze_critical_path(tracer, recorder, nullptr);
+  EXPECT_EQ(report.total_ns, milliseconds(5));
+  EXPECT_EQ(report.hops, 1);
+  EXPECT_EQ(category_ns(report, PathCategory::shuffle), milliseconds(5));
+  EXPECT_EQ(category_ns(report, PathCategory::compute), 0);
+  ASSERT_EQ(report.segments.size(), 3u);
+  EXPECT_EQ(report.segments[0].process, "rank 0");
+  EXPECT_EQ(report.segments[1].label, "message");
+  EXPECT_EQ(report.segments[2].process, "rank 1");
+}
+
+TEST(CriticalPath, AckerWithoutALaneIsIdleOnThePath) {
+  // A helper process with no spans relays: it acks the sender's message at
+  // 2ms and hands the rank a sync-queue edge at 2.5ms, acked at 3ms. Its
+  // own time on the path is idle and its segments name no track.
+  sim::Engine engine;
+  Tracer tracer(engine);
+  tracer.set_enabled(true);
+  CausalRecorder recorder(engine);
+
+  sim::CausalToken message = 0;
+  sim::CausalToken release = 0;
+  engine.spawn("sender", [&] {
+    Span span(&tracer, tracer.rank_track(1), "write_contig");
+    engine.delay(milliseconds(1));
+    message = recorder.emit(EdgeKind::message, engine.current(), engine.now());
+  });
+  engine.spawn("helper", [&] {
+    engine.delay(milliseconds(2));
+    recorder.ack(message, engine.current(), engine.now());
+    engine.delay(microseconds(500));
+    release =
+        recorder.emit(EdgeKind::sync_queue, engine.current(), engine.now());
+  });
+  engine.spawn("rank0", [&] {
+    Span span(&tracer, tracer.rank_track(0), "exchange");
+    engine.delay(milliseconds(3));
+    recorder.ack(release, engine.current(), engine.now());
+    engine.delay(milliseconds(1));
+  });
+  engine.run();
+
+  const CriticalPathReport report =
+      analyze_critical_path(tracer, recorder, nullptr);
+  EXPECT_EQ(report.total_ns, milliseconds(4));
+  EXPECT_EQ(report.hops, 2);
+  EXPECT_EQ(category_ns(report, PathCategory::shuffle), milliseconds(2));
+  EXPECT_EQ(category_ns(report, PathCategory::flush), microseconds(500));
+  EXPECT_EQ(category_ns(report, PathCategory::idle), microseconds(500));
+  EXPECT_EQ(category_ns(report, PathCategory::write), milliseconds(1));
+  ASSERT_EQ(report.segments.size(), 5u);
+  EXPECT_EQ(report.segments[0].process, "rank 0");
+  EXPECT_EQ(report.segments[1].label, "sync_queue");
+  EXPECT_EQ(report.segments[2].process, "");
+  EXPECT_EQ(report.segments[2].category, PathCategory::idle);
+  EXPECT_EQ(report.segments[3].process, "");
+  EXPECT_EQ(report.segments[3].label, "message");
+  EXPECT_EQ(report.segments[4].process, "rank 1");
+}
+
+TEST(CriticalPath, OverlaysOnAPidWithoutSpans) {
+  // An aggregator-like process with no spans (pid 1, past the only lane's
+  // pid) stalls on an async write issued at 1ms and done at 3ms, of which
+  // [1, 2] waited on a lock. The walk starts from its completion emission.
+  sim::Engine engine;
+  Tracer tracer(engine);
+  tracer.set_enabled(true);
+  CausalRecorder recorder(engine);
+
+  engine.spawn("r0", [&] {
+    Span span(&tracer, tracer.rank_track(0), "calc");
+    engine.delay(milliseconds(1));
+  });
+  engine.spawn("agg", [&] {
+    recorder.interval(EdgeKind::lock_wait, engine.current(), milliseconds(1),
+                      milliseconds(2));
+    engine.delay(milliseconds(4));
+    recorder.bridge(EdgeKind::write_join, engine.current(), milliseconds(1),
+                    milliseconds(3));
+  });
+  engine.run();
+
+  const CriticalPathReport report =
+      analyze_critical_path(tracer, recorder, nullptr);
+  EXPECT_EQ(report.total_ns, milliseconds(4));
+  EXPECT_EQ(report.hops, 1);
+  EXPECT_EQ(category_ns(report, PathCategory::lock_wait), milliseconds(1));
+  EXPECT_EQ(category_ns(report, PathCategory::write), milliseconds(1));
+  EXPECT_EQ(category_ns(report, PathCategory::idle), milliseconds(2));
+  EXPECT_EQ(category_ns(report, PathCategory::compute), 0);
+}
+
+TEST(CriticalPath, EqualLaneEndsStartTheWalkAtTheSmallestPid) {
+  // Three lanes end at 2ms. The walk starts on pid 0's lane (rank 1, a
+  // write), not on a later pid's or the smallest rank's (rank 0, shuffle).
+  sim::Engine engine;
+  Tracer tracer(engine);
+  tracer.set_enabled(true);
+  CausalRecorder recorder(engine);
+
+  engine.spawn("p0", [&] {
+    Span span(&tracer, tracer.rank_track(1), "write_contig");
+    engine.delay(milliseconds(2));
+  });
+  engine.spawn("p1", [&] {
+    Span span(&tracer, tracer.rank_track(0), "exchange");
+    engine.delay(milliseconds(2));
+  });
+  engine.spawn("p2", [&] {
+    Span span(&tracer, tracer.rank_track(2), "calc");
+    engine.delay(milliseconds(2));
+  });
+  engine.run();
+
+  const CriticalPathReport report =
+      analyze_critical_path(tracer, recorder, nullptr);
+  EXPECT_EQ(report.total_ns, milliseconds(2));
+  EXPECT_EQ(category_ns(report, PathCategory::write), milliseconds(2));
+  EXPECT_EQ(category_ns(report, PathCategory::shuffle), 0);
+  ASSERT_EQ(report.segments.size(), 1u);
+  EXPECT_EQ(report.segments[0].process, "rank 1");
+}
+
 TEST(CriticalPath, JsonAndTableCarryTheReport) {
   sim::Engine engine;
   Tracer tracer(engine);

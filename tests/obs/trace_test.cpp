@@ -5,7 +5,9 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/units.h"
 #include "obs/causal.h"
@@ -326,6 +328,172 @@ TEST(Trace, NamesAreInternedWithPhasesFirst) {
     }
   }
   EXPECT_EQ(closes, 2);
+}
+
+/// The "X" event lines of a Chrome export, in recording order (the tracer
+/// writes one event per line).
+std::vector<std::string> span_lines(const std::string& json) {
+  std::vector<std::string> out;
+  std::size_t begin = 0;
+  while (begin < json.size()) {
+    std::size_t end = json.find('\n', begin);
+    if (end == std::string::npos) end = json.size();
+    std::string line = json.substr(begin, end - begin);
+    if (line.find("\"ph\":\"X\"") != std::string::npos) {
+      if (line.back() == ',') line.pop_back();
+      out.push_back(std::move(line));
+    }
+    begin = end + 1;
+  }
+  return out;
+}
+
+TEST(Trace, OuterSpanArgAfterInnerSpanWithArgsClosed) {
+  // write_round's shape: the outer span adds an arg after an inner span
+  // with its own args has closed; each keeps its own args, in order.
+  sim::Engine engine;
+  Tracer tracer(engine);
+  tracer.set_enabled(true);
+  engine.spawn("p", [&] {
+    Span outer(&tracer, tracer.rank_track(0), "write_round");
+    outer.arg("round", 3);
+    {
+      Span inner(&tracer, tracer.rank_track(0), "write_contig");
+      inner.arg("bytes", 4096);
+      engine.delay(milliseconds(1));
+    }
+    outer.arg("send_bytes", 8192);
+  });
+  engine.run();
+  const std::vector<std::string> spans = span_lines(tracer.to_json());
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_NE(spans[0].find(R"("name":"write_contig")"), std::string::npos);
+  EXPECT_NE(spans[0].find(R"("args":{"bytes":4096}})"), std::string::npos)
+      << spans[0];
+  EXPECT_NE(spans[1].find(R"("args":{"round":3,"send_bytes":8192}})"),
+            std::string::npos)
+      << spans[1];
+}
+
+TEST(Trace, InterleavedFibersKeepTheirOwnArgs) {
+  sim::Engine engine;
+  Tracer tracer(engine);
+  tracer.set_enabled(true);
+  for (int rank = 0; rank < 2; ++rank) {
+    engine.spawn("r" + std::to_string(rank), [&tracer, &engine, rank] {
+      Span span(&tracer, tracer.rank_track(rank), "exchange");
+      span.arg("first", rank);
+      engine.delay(milliseconds(1 + rank));  // the other fiber adds its args
+      span.arg("second", 10 + rank);
+      engine.delay(milliseconds(2));
+      span.arg("third", 20 + rank);
+    });
+  }
+  engine.run();
+  const std::vector<std::string> spans = span_lines(tracer.to_json());
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_NE(spans[0].find(R"("tid":0,)"), std::string::npos);
+  EXPECT_NE(spans[0].find(R"("args":{"first":0,"second":10,"third":20}})"),
+            std::string::npos)
+      << spans[0];
+  EXPECT_NE(spans[1].find(R"("args":{"first":1,"second":11,"third":21}})"),
+            std::string::npos)
+      << spans[1];
+}
+
+TEST(Trace, TextArgIsInternedAndEscaped) {
+  sim::Engine engine;
+  Tracer tracer(engine);
+  tracer.set_enabled(true);
+  engine.spawn("p", [&] {
+    Span span(&tracer, tracer.rank_track(0), "flush_batch");
+    span.arg("abandoned", "io_error: \"disk\"\tgone");
+    span.arg("bytes", 7);
+  });
+  engine.run();
+  // The span name, the key and the text value, after the phases.
+  EXPECT_EQ(tracer.names(), prof::kPhaseCount + 4);
+  const std::vector<std::string> spans = span_lines(tracer.to_json());
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_NE(
+      spans[0].find(
+          R"("args":{"abandoned":"io_error: \"disk\"\tgone","bytes":7}})"),
+      std::string::npos)
+      << spans[0];
+}
+
+TEST(Trace, MovedSpanKeepsItsArgs) {
+  sim::Engine engine;
+  Tracer tracer(engine);
+  tracer.set_enabled(true);
+  engine.spawn("p", [&] {
+    Span from(&tracer, tracer.rank_track(0), "write_round");
+    from.arg("round", 1);
+    Span to = std::move(from);
+    from.arg("lost", 0);  // moved-from: inactive, records nothing
+    to.arg("send_bytes", 2);
+    Span assigned;
+    assigned = std::move(to);
+    assigned.arg("pipelined", 1);
+  });
+  engine.run();
+  const std::vector<std::string> spans = span_lines(tracer.to_json());
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_NE(
+      spans[0].find(R"("args":{"round":1,"send_bytes":2,"pipelined":1}})"),
+      std::string::npos)
+      << spans[0];
+}
+
+TEST(Trace, ArgsOnADisabledTracerInternNothing) {
+  sim::Engine engine;
+  Tracer tracer(engine);
+  {
+    Span span(&tracer, tracer.rank_track(0), "write_round");
+    span.arg("round", 1);
+    span.arg("abandoned", "text");
+  }
+  EXPECT_EQ(tracer.names(), 0u);
+  tracer.set_enabled(true);
+  tracer.set_enabled(false);
+  {
+    Span span(&tracer, tracer.rank_track(0), "write_round");
+    span.arg("round", 1);
+    span.arg("abandoned", "text");
+  }
+  EXPECT_EQ(tracer.names(), prof::kPhaseCount);
+  EXPECT_EQ(tracer.events(), 0u);
+}
+
+TEST(Trace, ChromeArgsFormatIsUnchanged) {
+  // Byte-exact span lines: integer args in insertion order (negative and
+  // 64-bit values included), text args quoted and escaped, no "args" key
+  // on a span without args.
+  sim::Engine engine;
+  Tracer tracer(engine);
+  tracer.set_enabled(true);
+  engine.spawn("p", [&] {
+    {
+      Span span(&tracer, tracer.rank_track(2), "flush_batch");
+      span.arg("offset", 1099511627776);
+      span.arg("delta", -5);
+      span.arg("zero", 0);
+      span.arg("status", "a\\b\n");
+      engine.delay(nanoseconds(1500));
+    }
+    Span bare(&tracer, tracer.rank_track(2), "calc");
+    engine.delay(microseconds(2));
+  });
+  engine.run();
+  const std::vector<std::string> spans = span_lines(tracer.to_json());
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0],
+            R"({"ph":"X","pid":0,"tid":0,"name":"flush_batch","ts":0.000,)"
+            R"("dur":1.500,"args":{"offset":1099511627776,"delta":-5,)"
+            R"("zero":0,"status":"a\\b\n"}})");
+  EXPECT_EQ(spans[1],
+            R"({"ph":"X","pid":0,"tid":0,"name":"calc","ts":1.500,)"
+            R"("dur":2.000})");
 }
 
 TEST(Trace, RankTracksKnowTheirRank) {
