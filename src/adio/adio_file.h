@@ -159,6 +159,11 @@ std::vector<DataView> cut_wanted(const ByteStore& assembled,
 /// the worst code any rank saw — its own status when it was the worst.
 Status agree_status(const mpi::Comm& comm, const Status& mine);
 
+/// The per-rank cache file open_coll creates under `cache_dir`
+/// (e10_cache_path) for the global file `path`.
+std::string cache_file_name(const std::string& cache_dir,
+                            const std::string& path, int rank);
+
 /// Splits "driver:path" into (driver, bare path).
 std::pair<Driver, std::string> parse_driver_path(const std::string& path);
 

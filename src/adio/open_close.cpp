@@ -8,16 +8,12 @@
 
 namespace e10::adio {
 
-namespace {
-
-std::string cache_file_name(const Hints& hints, const std::string& path,
-                            int rank) {
+std::string cache_file_name(const std::string& cache_dir,
+                            const std::string& path, int rank) {
   std::string base = path;
   std::replace(base.begin(), base.end(), '/', '_');
-  return hints.e10_cache_path + "/" + base + ".cache." + std::to_string(rank);
+  return cache_dir + "/" + base + ".cache." + std::to_string(rank);
 }
-
-}  // namespace
 
 Status agree_status(const mpi::Comm& comm, const Status& mine) {
   const int code = static_cast<int>(mine.code());
@@ -141,7 +137,8 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
       (mode & amode::rdonly) == 0) {
     cache::CacheFileParams params;
     params.global_path = fd->path;
-    params.cache_path = cache_file_name(fd->hints, fd->path, comm.rank());
+    params.cache_path = cache_file_name(fd->hints.e10_cache_path, fd->path,
+                                        comm.rank());
     params.rank = comm.rank();
     params.metrics = ctx.metrics;
     params.tracer = ctx.tracer;

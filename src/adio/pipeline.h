@@ -152,9 +152,6 @@ class WritePipeline {
   /// Joins every in-flight write. Idempotent; also run by the destructor.
   void drain();
 
-  /// Join-point accounting across the pipeline's lifetime.
-  const sim::OverlapAccumulator& overlap() const { return overlap_; }
-
  private:
   struct InFlightRound {
     Offset round = 0;

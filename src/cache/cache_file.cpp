@@ -286,10 +286,7 @@ std::optional<DataView> CacheFile::try_read(const Extent& global) {
     if (prev->offset + prev->extent.length > cursor) it = prev;
   }
   while (cursor < global.end()) {
-    if (it == extent_map_.end() || it->offset > cursor) {
-      ++stats_.read_misses;
-      return std::nullopt;  // gap: extent not fully cached
-    }
+    if (it == extent_map_.end() || it->offset > cursor) return std::nullopt;
     const Offset skip = cursor - it->offset;
     const Offset take =
         std::min(global.end(), it->offset + it->extent.length) - cursor;
@@ -301,14 +298,9 @@ std::optional<DataView> CacheFile::try_read(const Extent& global) {
   parts.reserve(runs.size());
   for (const auto& [cache_off, len] : runs) {
     auto piece = local_fs_.read(cache_handle_, cache_off, len);
-    if (!piece.is_ok() || piece.value().size() != len) {
-      ++stats_.read_misses;
-      return std::nullopt;
-    }
+    if (!piece.is_ok() || piece.value().size() != len) return std::nullopt;
     parts.push_back(std::move(piece).value());
   }
-  ++stats_.read_hits;
-  stats_.bytes_read_from_cache += global.length;
   return DataView::concat(parts);
 }
 

@@ -89,10 +89,6 @@ struct CacheFileParams {
 struct CacheFileStats {
   Offset bytes_cached = 0;
   std::uint64_t writes = 0;
-  std::uint64_t fallback_writes = 0;  // writes that bypassed the cache
-  std::uint64_t read_hits = 0;
-  std::uint64_t read_misses = 0;
-  Offset bytes_read_from_cache = 0;
 };
 
 /// What CacheFile::recover() found and replayed after a crash.

@@ -55,13 +55,6 @@ mpi::Info info_for(const Scenario& s) {
   return info;
 }
 
-/// The cache-file naming scheme of adio::open_coll (cache_file_name).
-std::string cache_path_for_rank(int rank) {
-  std::string base = kGlobalPath;
-  std::replace(base.begin(), base.end(), '/', '_');
-  return std::string(kCacheDir) + "/" + base + ".cache." + std::to_string(rank);
-}
-
 /// Reference model: every piece applied to a plain ByteStore.
 ByteStore build_reference(const Scenario& s,
                           const std::vector<PieceSpec>& pieces) {
@@ -213,7 +206,8 @@ Execution execute(const Scenario& s, Time crash_at, bool check_concurrency) {
       if (!handle.is_ok()) return;  // crashed before create: nothing durable
       for (int r = 0; r < s.ranks(); ++r) {
         lfs::LocalFs& node_fs = p.lfs.at(topo.node_of(r));
-        const std::string cpath = cache_path_for_rank(r);
+        const std::string cpath =
+            adio::cache_file_name(kCacheDir, kGlobalPath, r);
         if (!node_fs.exists(cache::CacheFile::journal_path(cpath))) continue;
         const auto rec = cache::CacheFile::recover(node_fs, p.pfs,
                                                    handle.value(), cpath);
@@ -411,8 +405,9 @@ RunResult run_scenario(const Scenario& scenario, const RunOptions& options) {
       int budget = kMaxDetails;
       for (int r = 0; r < scenario.ranks(); ++r) {
         const lfs::LocalFs& node_fs = p.lfs.at(topo.node_of(r));
-        const ByteStore* journal = node_fs.peek(
-            cache::CacheFile::journal_path(cache_path_for_rank(r)));
+        const ByteStore* journal =
+            node_fs.peek(cache::CacheFile::journal_path(
+                adio::cache_file_name(kCacheDir, kGlobalPath, r)));
         if (journal == nullptr) continue;
         const auto records = cache::scan_write_records(
             journal->read(0, journal->extent_end()));
