@@ -110,27 +110,16 @@ Status write_contig(AdioFile& fd, Offset offset, const DataView& data);
 /// mode blocks while any overlapping extent is in transit.
 Result<DataView> read_contig(AdioFile& fd, Offset offset, Offset length);
 
-/// Handle for a nonblocking contiguous write (iwrite_contig). The status is
-/// fully determined at issue time in this model — the cache/PFS layers
-/// validate and reserve their resource timelines synchronously and return
-/// the completion time — so `request` only carries *when* the write
-/// finishes. Waiting on it advances the caller's clock to `done`; an
-/// invalid request means the write completed (or failed) synchronously.
-struct [[nodiscard]] WriteHandle {
-  Status status = Status::ok();
-  mpi::Request request;
-  Time issued = 0;
-  Time done = 0;
-  Offset bytes = 0;
-};
-
 /// Nonblocking contiguous write at an absolute file offset: same routing as
 /// write_contig (cache first, PFS write-through fallback), but the caller's
-/// clock does not advance to the device completion — join through the
-/// returned handle before reusing the source buffer. The written content is
-/// applied at issue time (single-active-process invariant), so issue order
-/// defines content order exactly as for blocking writes.
-WriteHandle iwrite_contig(AdioFile& fd, Offset offset, const DataView& data);
+/// clock does not advance to the device completion. Returns the completion
+/// time; the caller joins the write (sim::join_async) before reusing the
+/// source buffer. The status is fully determined at issue time in this
+/// model — the cache/PFS layers validate and reserve their resource
+/// timelines synchronously. The written content is applied at issue time
+/// (single-active-process invariant), so issue order defines content order
+/// exactly as for blocking writes.
+Result<Time> iwrite_contig(AdioFile& fd, Offset offset, const DataView& data);
 
 /// Collective write of this rank's flattened access list (extended
 /// two-phase). Empty lists are fine — the rank still participates in the

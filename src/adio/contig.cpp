@@ -45,27 +45,12 @@ Status write_contig(AdioFile& fd, Offset offset, const DataView& data) {
   return route_write(fd, offset, data, /*wait=*/true).status();
 }
 
-WriteHandle iwrite_contig(AdioFile& fd, Offset offset, const DataView& data) {
-  WriteHandle handle;
-  handle.issued = fd.ctx->engine.now();
-  handle.done = handle.issued;
-  handle.bytes = data.size();
+Result<Time> iwrite_contig(AdioFile& fd, Offset offset, const DataView& data) {
   if (offset < 0) {
-    handle.status =
-        Status::error(Errc::invalid_argument, "iwrite_contig: offset < 0");
-    return handle;
+    return Status::error(Errc::invalid_argument, "iwrite_contig: offset < 0");
   }
-  if (data.empty()) return handle;
-
-  const auto done = route_write(fd, offset, data, /*wait=*/false);
-  if (!done.is_ok()) {
-    handle.status = done.status();
-    return handle;
-  }
-  handle.done = done.value();
-  handle.request = mpi::Request::grequest(fd.ctx->engine);
-  handle.request.complete_at(handle.done);
-  return handle;
+  if (data.empty()) return fd.ctx->engine.now();
+  return route_write(fd, offset, data, /*wait=*/false);
 }
 
 Result<DataView> read_contig(AdioFile& fd, Offset offset, Offset length) {

@@ -144,12 +144,12 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
     params.tracer = ctx.tracer;
     params.coherent = fd->hints.e10_cache == CacheMode::coherent;
     params.discard = fd->hints.e10_cache_discard;
-    params.staging_bytes = fd->hints.ind_wr_buffer_size;
-    params.sync_streams = fd->hints.e10_sync_streams;
-    params.flush_coalesce = fd->hints.e10_flush_coalesce;
+    params.flush.staging_bytes = fd->hints.ind_wr_buffer_size;
+    params.flush.streams = fd->hints.e10_sync_streams;
+    params.flush.coalesce = fd->hints.e10_flush_coalesce;
     // Stripe-align flush dispatches to the global file's layout so no
     // flush write crosses a data server.
-    params.stripe_unit = fd->stripe_unit;
+    params.flush.stripe_unit = fd->stripe_unit;
     // Fault tolerance: the scenario injector supplies the crash schedule;
     // journaling is on when asked for by hint, or automatically whenever
     // the armed plan contains rank crashes (a crash without a journal
@@ -161,13 +161,13 @@ Result<std::unique_ptr<AdioFile>> open_coll(IoContext& ctx, mpi::Comm comm,
          ctx.fault->plan().has_crashes());
     switch (fd->hints.e10_cache_flush_flag) {
       case FlushFlag::flush_immediate:
-        params.flush = cache::FlushPolicy::immediate;
+        params.flush_policy = cache::FlushPolicy::immediate;
         break;
       case FlushFlag::flush_onclose:
-        params.flush = cache::FlushPolicy::onclose;
+        params.flush_policy = cache::FlushPolicy::onclose;
         break;
       case FlushFlag::none:
-        params.flush = cache::FlushPolicy::none;
+        params.flush_policy = cache::FlushPolicy::none;
         break;
     }
     auto cache_file =

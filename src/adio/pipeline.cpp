@@ -3,7 +3,6 @@
 #include <exception>
 
 #include "adio/aggregation.h"
-#include "sim/causal.h"
 
 namespace e10::adio {
 
@@ -144,7 +143,7 @@ WritePipeline::~WritePipeline() {
   // unwinding: a crash/cancellation would re-throw ProcessCancelled inside
   // this (noexcept) destructor and terminate the program. When an exception
   // is in flight the collective is being abandoned anyway — the in-flight
-  // rounds' requests are dropped, not joined.
+  // rounds' writes are dropped, not joined.
   if (std::uncaught_exceptions() == 0) drain();
 }
 
@@ -175,11 +174,15 @@ Status WritePipeline::issue_round(Offset round,
     std::vector<DataView> parts;
     parts.reserve(j - i);
     for (std::size_t k = i; k < j; ++k) parts.push_back(pieces[k].data);
-    WriteHandle handle =
+    const Time issued = fd_.ctx->engine.now();
+    const Result<Time> done =
         iwrite_contig(fd_, pieces[i].file.offset, DataView::concat(parts));
-    if (!handle.status.is_ok() && status.is_ok()) status = handle.status;
+    if (!done.is_ok() && status.is_ok()) status = done.status();
     if (writes_counter_ != nullptr) writes_counter_->increment();
-    entry.handles.push_back(std::move(handle));
+    // A failed write stays in the round as a zero-length interval: it
+    // still occupies the buffer and is joined like the others.
+    entry.writes.push_back(
+        sim::Interval{issued, done.is_ok() ? done.value() : issued});
     i = j;
   }
 
@@ -205,26 +208,18 @@ void WritePipeline::join_oldest() {
   // in the same profiler phase the blocking write path charged.
   PhaseScope scope(*fd_.ctx, fd_.rank(), prof::Phase::write_contig);
   scope.span().arg("round", static_cast<std::int64_t>(entry.round));
-  for (WriteHandle& handle : entry.handles) {
-    const Time join_at = fd_.ctx->engine.now();
-    if (handle.request.valid()) handle.request.wait();
+  for (const sim::Interval& write : entry.writes) {
     const sim::JoinOutcome outcome =
-        overlap_.on_join(handle.issued, handle.done, join_at);
-    // A stalled join means this rank was gated on the write's service time:
-    // record the async interval for critical-path attribution.
-    if (outcome.stall > 0) {
-      fd_.ctx->engine.bridge_edge(sim::EdgeKind::write_join, handle.issued,
-                                  handle.done);
-    }
+        sim::join_async(fd_.ctx->engine, sim::EdgeKind::write_join, write);
     if (write_ns_counter_ != nullptr) {
-      write_ns_counter_->add(handle.done - handle.issued);
+      write_ns_counter_->add(write.end - write.start);
       hidden_ns_counter_->add(outcome.hidden);
       stall_ns_counter_->add(outcome.stall);
       if (outcome.stall > 0) stalls_counter_->increment();
     }
   }
   // The joined writes' completion synchronised with this rank: ownership of
-  // the buffer (and the handle bookkeeping) is exclusively ours again.
+  // the buffer (and the interval bookkeeping) is exclusively ours again.
   state_var_.handoff();
 }
 

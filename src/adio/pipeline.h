@@ -13,8 +13,8 @@
 // WritePipeline owns the execution half on the aggregator side: the
 // collective buffer is double-buffered, so round r's write to the cache (or
 // the PFS) stays in flight while round r+1's dissemination and data shuffle
-// proceed. The aggregator joins the oldest in-flight round's write handle
-// before reusing its buffer (acquire_buffer), and drains everything before
+// proceed. The aggregator joins the oldest in-flight round's writes before
+// reusing its buffer (acquire_buffer), and drains everything before
 // the collective error exchange. With the pipeline disabled every round's
 // write is joined at issue time, which is exactly the classic synchronous
 // ext2ph round loop. See docs/pipeline.md for the stage diagram. Collective
@@ -122,7 +122,7 @@ std::optional<CollPlan<T>> plan_collective(AdioFile& fd, std::vector<T>& items,
 /// Double-buffered aggregator write stage. All methods must run inside the
 /// owning rank's simulated process; the pipeline state itself is owned by
 /// that one rank (registered with the concurrency checker — the in-flight
-/// write is the device's business, the handle bookkeeping is ours).
+/// write is the device's business, the interval bookkeeping is ours).
 class WritePipeline {
  public:
   /// Number of collective buffers. One round's write can be in flight per
@@ -155,16 +155,18 @@ class WritePipeline {
  private:
   struct InFlightRound {
     Offset round = 0;
-    std::vector<WriteHandle> handles;
+    /// [issued, done) per contiguous run; a failed write is (issued,
+    /// issued).
+    std::vector<sim::Interval> writes;
   };
 
-  /// Joins the oldest in-flight round and updates the overlap accounting.
+  /// Joins the oldest in-flight round's writes (sim::join_async) and feeds
+  /// the coll.pipeline.* counters.
   void join_oldest();
 
   AdioFile& fd_;
   bool enabled_ = false;
   std::deque<InFlightRound> in_flight_ E10_TRACKED_BY(state_var_);
-  sim::OverlapAccumulator overlap_ E10_TRACKED_BY(state_var_);
   /// Pipeline bookkeeping is single-owner state of the issuing rank; the
   /// checker verifies nothing else ever touches it.
   sim::SharedVar state_var_;

@@ -25,7 +25,7 @@ Result<std::unique_ptr<CacheFile>> CacheFile::open(
     sim::Engine& engine, lfs::LocalFs& local_fs, pfs::Pfs& pfs,
     pfs::FileHandle global_handle, const CacheFileParams& params,
     LockTable* locks) {
-  if (params.coherent && params.flush == FlushPolicy::none) {
+  if (params.coherent && params.flush_policy == FlushPolicy::none) {
     return Status::error(Errc::invalid_argument,
                          "coherent cache requires a flush policy");
   }
@@ -37,11 +37,11 @@ Result<std::unique_ptr<CacheFile>> CacheFile::open(
     return Status::error(Errc::invalid_argument,
                          "cache: quarantine_after must be >= 1");
   }
-  if (params.sync_streams < 1) {
+  if (params.flush.streams < 1) {
     return Status::error(Errc::invalid_argument,
                          "cache: sync_streams must be >= 1");
   }
-  if (params.stripe_unit < 0) {
+  if (params.flush.stripe_unit < 0) {
     return Status::error(Errc::invalid_argument,
                          "cache: negative stripe unit");
   }
@@ -85,16 +85,11 @@ CacheFile::CacheFile(sim::Engine& engine, lfs::LocalFs& local_fs,
       locks_(locks),
       cache_handle_(cache_handle),
       extent_map_var_(engine, "cache.extent_map:" + params.cache_path) {
-  sync_ = std::make_unique<SyncThread>(
-      engine, local_fs, cache_handle, pfs, global_handle, params.global_path,
-      params.staging_bytes, locks);
+  sync_ = std::make_unique<SyncThread>(engine, local_fs, cache_handle, pfs,
+                                       global_handle, params.global_path,
+                                       params.flush, locks);
   sync_->set_observability(params.metrics, params.tracer, params.rank);
   sync_->set_retry_policy(params.retry);
-  FlushSchedulerParams flush;
-  flush.streams = params.sync_streams;
-  flush.coalesce = params.flush_coalesce;
-  flush.stripe_unit = params.stripe_unit;
-  sync_->set_flush_params(flush);
   if (params.metrics != nullptr) {
     // Instrument resolution mutates the shared registry from every rank's
     // open path; claim the registry monitor for the checker.
@@ -252,7 +247,7 @@ Result<Time> CacheFile::append(const Extent& global, const DataView& data,
   E10_SHARED_WRITE(extent_map_var_);
   apply_extent(extent_map_, global, cache_offset, seq);
 
-  if (params_.flush == FlushPolicy::none) {
+  if (params_.flush_policy == FlushPolicy::none) {
     // Theoretical-bandwidth mode: data stays in the cache.
     if (params_.coherent) locks_->unlock(params_.global_path, global);
     return completion;
@@ -265,7 +260,7 @@ Result<Time> CacheFile::append(const Extent& global, const DataView& data,
   request.grequest = mpi::Request::grequest(engine_);
   request.release_lock = params_.coherent;
   outstanding_.push_back(request.grequest);
-  if (params_.flush == FlushPolicy::immediate) {
+  if (params_.flush_policy == FlushPolicy::immediate) {
     sync_->enqueue(std::move(request));
   } else {
     deferred_.push_back(std::move(request));

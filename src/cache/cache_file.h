@@ -48,23 +48,17 @@ enum class FlushPolicy {
 struct CacheFileParams {
   std::string global_path;  // the global file this cache shadows
   std::string cache_path;   // pathname of the cache file on the local FS
-  FlushPolicy flush = FlushPolicy::immediate;
+  FlushPolicy flush_policy = FlushPolicy::immediate;
   bool coherent = false;  // hold extent locks until data is persistent
   bool discard = true;    // remove the cache file on close
-  Offset staging_bytes = 512 * units::KiB;  // ind_wr_buffer_size
   /// fallocate granularity: space is reserved in chunks this big so that
   /// most writes pay no allocation cost.
   Offset alloc_chunk = 64 * units::MiB;
-  /// Concurrent in-flight flush streams per sync thread (e10_sync_streams):
-  /// how many durable PFS writes the drain keeps outstanding. 1 restores
-  /// the serial read-back→write loop.
-  int sync_streams = 4;
-  /// Coalesce adjacent queued sync requests into shared stripe-aligned
-  /// dispatches (e10_flush_coalesce_flag); see docs/flush_scheduler.md.
-  bool flush_coalesce = true;
-  /// PFS stripe unit of the global file: flush dispatches are split on its
-  /// boundaries so no flush write crosses a data server (0 = no alignment).
-  Offset stripe_unit = 0;
+  /// The sync thread's flush scheduler (docs/flush_scheduler.md): in-flight
+  /// streams (e10_sync_streams), coalescing (e10_flush_coalesce_flag), the
+  /// global file's stripe unit for aligned dispatches, and the staging
+  /// buffer size (ind_wr_buffer_size).
+  FlushSchedulerParams flush;
   /// Record journal for crash recovery: append one WriteRecord per cache
   /// write to `<cache_path>.journal` and one CommitRecord per durable
   /// extent to `<cache_path>.commits`. Off by default — the sidecar
@@ -129,8 +123,8 @@ class CacheFile {
   /// the journal sidecar) has the data and the source buffer may be
   /// reused. The sync request is created at issue; the sync thread's
   /// staging reads serialize after the in-flight appends on the device's
-  /// FIFO timeline, so that is safe. Callers join via a generalized
-  /// request completed at the returned time (adio::iwrite_contig).
+  /// FIFO timeline, so that is safe. Callers join the returned time
+  /// (adio::iwrite_contig, sim::join_async).
   Result<Time> iwrite(const Extent& global, const DataView& data);
 
   /// Serves a read from the cache if (and only if) the extent is fully

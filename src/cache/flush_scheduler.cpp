@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/log.h"
-#include "sim/causal.h"
 
 namespace e10::cache {
 
@@ -96,24 +95,21 @@ FlushScheduler::FlushScheduler(sim::Engine& engine, lfs::LocalFs& local_fs,
   if (params_.stripe_unit < 0) {
     throw std::logic_error("FlushScheduler: negative stripe unit");
   }
-  if (params_.max_batch < 1) params_.max_batch = 1;
   in_flight_.reserve(static_cast<std::size_t>(params_.streams));
 }
 
 void FlushScheduler::join_oldest() {
   E10_SHARED_WRITE(state_var_);
-  const InFlight oldest = in_flight_.front();
+  const sim::Interval oldest = in_flight_.front();
   in_flight_.erase(in_flight_.begin());
-  // Split the service interval at the pre-join clock: what already elapsed
-  // was hidden behind other streams' work, the rest is a stall.
-  overlap_.on_join(oldest.issued, oldest.done, engine_.now());
-  // A stalling join gates this lane on the write's media time: record the
-  // async service interval for critical-path attribution.
-  if (oldest.done > engine_.now()) {
-    engine_.bridge_edge(sim::EdgeKind::batch_done, oldest.issued,
-                        oldest.done);
-  }
-  engine_.advance_to(oldest.done);
+  // What already elapsed was hidden behind other streams' work; the rest is
+  // a stall that gates this lane on the write's media time.
+  const sim::JoinOutcome outcome =
+      sim::join_async(engine_, sim::EdgeKind::batch_done, oldest);
+  stats_.write_ns += oldest.end - oldest.start;
+  stats_.hidden_ns += outcome.hidden;
+  stats_.stall_ns += outcome.stall;
+  if (outcome.stall > 0) ++stats_.stalls;
 }
 
 void FlushScheduler::join_all() {
@@ -195,7 +191,7 @@ BatchOutcome FlushScheduler::drain(std::vector<SyncRequest>& members,
         auto issued = pfs_.write_durable_async(
             global_handle_, dispatch.global.offset, DataView::concat(parts));
         if (issued.is_ok()) {
-          in_flight_.push_back(InFlight{engine_.now(), issued.value()});
+          in_flight_.push_back(sim::Interval{engine_.now(), issued.value()});
           outcome.done_time = std::max(outcome.done_time, issued.value());
           stats_.inflight_high_water = std::max(
               stats_.inflight_high_water,

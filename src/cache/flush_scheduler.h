@@ -61,8 +61,6 @@ struct FlushSchedulerParams {
   /// Staging-buffer size (ind_wr_buffer_size): the capacity of one
   /// dispatch.
   Offset staging_bytes = 512 * units::KiB;
-  /// Upper bound on requests gathered into one batch (plan-cost bound).
-  std::size_t max_batch = 256;
 };
 
 /// One contiguous slice of a dispatch, attributed to the batch member whose
@@ -115,6 +113,11 @@ struct FlushSchedulerStats {
   std::uint64_t members = 0;     // requests that entered batches
   std::uint64_t dispatches = 0;  // stripe-aligned writes issued
   std::uint64_t inflight_high_water = 0;
+  // The stream window's join accounting (sim::join_async per write).
+  Time write_ns = 0;   // service time of every joined write
+  Time hidden_ns = 0;  // service time that overlapped other streams' work
+  Time stall_ns = 0;   // service time the drain waited out at joins
+  std::uint64_t stalls = 0;  // joins that had to wait
 };
 
 class FlushScheduler {
@@ -142,23 +145,16 @@ class FlushScheduler {
                      const RetryPolicy& retry, Rng& backoff_rng);
 
   /// Joins every in-flight write (the caller's clock ends past the last
-  /// completion). Call before shutdown so the overlap window accounts for
-  /// every issued write.
+  /// completion). Call before shutdown so the stream-window totals account
+  /// for every issued write.
   void join_all();
 
   const FlushSchedulerParams& params() const { return params_; }
   const FlushSchedulerStats& stats() const { return stats_; }
-  /// Join-point accounting of the stream window (write/hidden/stall time).
-  const sim::OverlapAccumulator& overlap() const { return overlap_; }
 
  private:
-  struct InFlight {
-    Time issued = 0;
-    Time done = 0;
-  };
-
-  /// Joins the oldest in-flight write (advances the clock past its
-  /// completion) and records the overlap split.
+  /// Joins the oldest in-flight write (sim::join_async: advances the clock
+  /// past its completion) and adds its split to the stream-window totals.
   void join_oldest();
   /// Joins until fewer than `streams` writes are in flight (a staging
   /// buffer is free for the next read-back).
@@ -172,8 +168,7 @@ class FlushScheduler {
   pfs::FileHandle global_handle_;
   FlushSchedulerParams params_;
   /// FIFO, bounded by params_.streams.
-  std::vector<InFlight> in_flight_ E10_TRACKED_BY(state_var_);
-  sim::OverlapAccumulator overlap_ E10_TRACKED_BY(state_var_);
+  std::vector<sim::Interval> in_flight_ E10_TRACKED_BY(state_var_);
   FlushSchedulerStats stats_ E10_TRACKED_BY(state_var_);
   /// Scheduler bookkeeping is single-owner state of the sync thread; the
   /// registration lets the checker verify nothing else ever touches it.

@@ -12,24 +12,20 @@ namespace e10::cache {
 SyncThread::SyncThread(sim::Engine& engine, lfs::LocalFs& local_fs,
                        lfs::FileHandle cache_handle, pfs::Pfs& pfs,
                        pfs::FileHandle global_handle, std::string global_path,
-                       Offset staging_bytes, LockTable* locks)
+                       const FlushSchedulerParams& flush, LockTable* locks)
     : engine_(engine),
       local_fs_(local_fs),
       cache_handle_(cache_handle),
       pfs_(pfs),
       global_handle_(global_handle),
       global_path_(std::move(global_path)),
-      staging_bytes_(staging_bytes),
       locks_(locks),
       inbox_(engine),
       stats_mutex_(engine, "cache.sync.stats_mutex:" + global_path_),
       stats_var_(engine, "cache.sync.stats:" + global_path_),
       inbox_var_(engine, "cache.sync.inbox:" + global_path_),
-      inbox_monitor_name_("cache.sync.inbox.monitor:" + global_path_) {
-  if (staging_bytes_ <= 0) {
-    throw std::logic_error("SyncThread: staging buffer must be > 0");
-  }
-}
+      inbox_monitor_name_("cache.sync.inbox.monitor:" + global_path_),
+      flush_params_(flush) {}
 
 void SyncThread::set_observability(obs::MetricsRegistry* metrics,
                                    obs::Tracer* tracer, int rank) {
@@ -53,16 +49,6 @@ void SyncThread::set_retry_policy(const RetryPolicy& policy) {
   retry_ = policy;
 }
 
-void SyncThread::set_flush_params(const FlushSchedulerParams& params) {
-  if (handle_.valid()) {
-    throw std::logic_error("SyncThread: set_flush_params after start");
-  }
-  if (params.streams < 1 || params.stripe_unit < 0) {
-    throw std::logic_error("SyncThread: bad flush-scheduler params");
-  }
-  flush_params_ = params;
-}
-
 void SyncThread::enable_commit_journal(lfs::FileHandle commits_handle) {
   if (handle_.valid()) {
     throw std::logic_error("SyncThread: enable_commit_journal after start");
@@ -76,12 +62,10 @@ void SyncThread::start() {
   backoff_rng_ = std::make_unique<Rng>(Rng::derive(
       Rng::derive(static_cast<std::uint64_t>(rank_), global_path_),
       "sync-backoff"));
-  FlushSchedulerParams params = flush_params_;
-  params.staging_bytes = staging_bytes_;
   scheduler_ = std::make_unique<FlushScheduler>(engine_, local_fs_,
                                                 cache_handle_, pfs_,
                                                 global_handle_, global_path_,
-                                                params);
+                                                flush_params_);
   handle_ = engine_.spawn("sync:" + global_path_, [this] { run(); });
 }
 
@@ -163,18 +147,17 @@ void SyncThread::fold_stats_and_join() {
     // Flush-scheduler totals: coalescing shape and the stream window's
     // write/hidden/stall split (docs/flush_scheduler.md).
     const FlushSchedulerStats& sched = scheduler_->stats();
-    const sim::OverlapAccumulator& window = scheduler_->overlap();
     metrics_->counter(names::kSyncBatches)
         .add(static_cast<std::int64_t>(sched.batches));
     metrics_->counter(names::kSyncBatchMembers)
         .add(static_cast<std::int64_t>(sched.members));
     metrics_->counter(names::kSyncDispatches)
         .add(static_cast<std::int64_t>(sched.dispatches));
-    metrics_->counter(names::kSyncStreamWriteNs).add(window.service_time());
-    metrics_->counter(names::kSyncStreamHiddenNs).add(window.hidden_time());
+    metrics_->counter(names::kSyncStreamWriteNs).add(sched.write_ns);
+    metrics_->counter(names::kSyncStreamHiddenNs).add(sched.hidden_ns);
     metrics_->counter(names::kSyncStreamStalls)
-        .add(static_cast<std::int64_t>(window.stalls()));
-    metrics_->counter(names::kSyncStreamStallNs).add(window.stall_time());
+        .add(static_cast<std::int64_t>(sched.stalls));
+    metrics_->counter(names::kSyncStreamStallNs).add(sched.stall_ns);
     metrics_->gauge(names::kSyncStreamInflight)
         .set(static_cast<std::int64_t>(sched.inflight_high_water));
   }
@@ -235,7 +218,7 @@ SyncThread::Gather SyncThread::gather_batch(std::vector<SyncRequest>& batch,
   // the next batch.
   ExtentList coverage;
   coverage.add(batch.front().remaining());
-  while (batch.size() < scheduler_->params().max_batch) {
+  while (batch.size() < kMaxBatch) {
     std::optional<SyncRequest> next;
     {
       const sim::MonitorGuard monitor(engine_, &inbox_, inbox_monitor_name_);
@@ -426,8 +409,8 @@ void SyncThread::run() {
     // work without blocking and ends the loop once nothing is left.
   }
   // Exit: wait out and complete everything still deferred, and join any
-  // writes a later drain never recycled so the overlap window accounts for
-  // every issued byte.
+  // writes a later drain never recycled so the stream-window totals account
+  // for every issued byte.
   finalize_deferred();
   scheduler_->join_all();
 }

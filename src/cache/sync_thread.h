@@ -52,10 +52,12 @@ namespace e10::cache {
 
 class SyncThread {
  public:
+  /// `flush` configures the FlushScheduler that start() creates (stream
+  /// count, coalescing, stripe alignment, staging size).
   SyncThread(sim::Engine& engine, lfs::LocalFs& local_fs,
              lfs::FileHandle cache_handle, pfs::Pfs& pfs,
              pfs::FileHandle global_handle, std::string global_path,
-             Offset staging_bytes, LockTable* locks);
+             const FlushSchedulerParams& flush, LockTable* locks);
 
   SyncThread(const SyncThread&) = delete;
   SyncThread& operator=(const SyncThread&) = delete;
@@ -70,11 +72,6 @@ class SyncThread {
   /// Overrides the retry policy (call before start()). The jitter stream is
   /// seeded from (rank, global path) so it is reproducible per thread.
   void set_retry_policy(const RetryPolicy& policy);
-
-  /// Overrides the flush-scheduler knobs (call before start()): stream
-  /// count, coalescing, stripe alignment. The staging size always follows
-  /// the constructor's `staging_bytes` (ind_wr_buffer_size).
-  void set_flush_params(const FlushSchedulerParams& params);
 
   /// Commits durable extents to the journal sidecar: after a request's
   /// extent is fully durable, a CommitRecord for its seq is appended
@@ -118,13 +115,12 @@ class SyncThread {
   const SyncStats& stats() const E10_NO_THREAD_SAFETY_ANALYSIS {
     return stats_;
   }
-  /// Scheduler totals; same joined-only caveat as stats().
-  const FlushSchedulerStats& scheduler_stats() const {
-    return scheduler_->stats();
-  }
   bool started() const { return handle_.valid(); }
 
  private:
+  /// Upper bound on requests gathered into one batch (plan-cost bound).
+  static constexpr std::size_t kMaxBatch = 256;
+
   /// What one gather attempt produced.
   enum class Gather {
     kBatch,     ///< `batch` holds at least one request
@@ -164,7 +160,6 @@ class SyncThread {
   pfs::Pfs& pfs_;
   pfs::FileHandle global_handle_;
   std::string global_path_;
-  Offset staging_bytes_;
   LockTable* locks_;
   void note_queue_depth(std::size_t depth) E10_EXCLUDES(stats_mutex_);
 

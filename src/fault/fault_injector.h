@@ -57,8 +57,10 @@ class FaultInjector {
     return draw(op);
   }
 
-  /// Deterministic "next n ops of this kind fail" — the generalized form of
-  /// the old LocalFs::inject_open_failures test hook. Forced failures fire
+  /// Deterministic "next n ops of this kind fail". A test scopes it to
+  /// chosen nodes by attaching its own injector to their LocalFs
+  /// (set_fault_injector), e.g. to force lfs_open failures for the cache
+  /// layer's revert-to-standard-open fallback. Forced failures fire
   /// before probabilistic rules and carry no error latency (preserving the
   /// legacy fail-immediately semantics existing tests rely on). `after`
   /// lets the first ops pass, placing the failure mid-sequence (e.g. a

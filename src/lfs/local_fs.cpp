@@ -14,27 +14,10 @@ LocalFs::LocalFs(sim::Engine& engine, std::size_t node,
       device_("ssd-node-" + std::to_string(node), params.device,
               Rng::derive(seed, "ssd-node-" + std::to_string(node))) {}
 
-LocalFs::~LocalFs() = default;
-
-void LocalFs::inject_open_failures(int n) {
-  if (own_fault_ == nullptr) {
-    own_fault_ = std::make_unique<fault::FaultInjector>(engine_);
-  }
-  own_fault_->force_failures(fault::FaultOp::lfs_open, n);
-}
-
 Status LocalFs::check_fault(fault::FaultOp op) {
-  if (own_fault_ != nullptr) {
-    if (Status s = own_fault_->check(op); !s) {
-      return Status::error(s.code(), s.message() + " (node " +
-                                         std::to_string(node_) + ")");
-    }
-  }
-  if (fault_ != nullptr) {
-    if (Status s = fault_->check(op); !s) {
-      return Status::error(s.code(), s.message() + " (node " +
-                                         std::to_string(node_) + ")");
-    }
+  if (Status s = fault_->check(op); !s) {
+    return Status::error(s.code(), s.message() + " (node " +
+                                       std::to_string(node_) + ")");
   }
   return Status::ok();
 }

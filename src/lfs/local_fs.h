@@ -56,7 +56,6 @@ class LocalFs {
  public:
   LocalFs(sim::Engine& engine, std::size_t node, const LfsParams& params,
           std::uint64_t seed);
-  ~LocalFs();  // out-of-line: own_fault_'s type is incomplete here
 
   Result<FileHandle> open(const std::string& path, bool create,
                           bool truncate = false);
@@ -85,16 +84,10 @@ class LocalFs {
   /// Test access to file content (no timing cost); nullptr if absent.
   const ByteStore* peek(const std::string& path) const;
 
-  /// Attaches the platform-wide fault injector (or detaches with nullptr)
-  /// driving scenario-planned lfs_open / lfs_read / lfs_write transients.
+  /// Attaches a fault injector (or detaches with nullptr) driving
+  /// lfs_open / lfs_read / lfs_write failures: the platform-wide scenario
+  /// injector, or a test's own one scoped to this node.
   void set_fault_injector(fault::FaultInjector* fault) { fault_ = fault; }
-
-  /// Failure injection: the next `n` open() calls fail with io_error —
-  /// exercises the "revert to standard open" fallback of the cache layer
-  /// (paper §III-A). Thin wrapper over a node-private FaultInjector so the
-  /// forced failures stay scoped to this node even when a shared scenario
-  /// injector is attached.
-  void inject_open_failures(int n);
 
  private:
   struct Inode {
@@ -107,11 +100,10 @@ class LocalFs {
   /// Grows the file's allocation charge; fails if the partition is full.
   Status charge(Inode& inode, Offset new_allocated);
 
-  /// Draws from the node-private injector (forced test failures) then the
-  /// shared scenario injector. The call sites guard on has_faults() so a
-  /// fault-free run pays two null checks per operation.
+  /// Draws from the attached injector. The call sites guard on
+  /// has_faults() so a fault-free run pays one null check per operation.
   Status check_fault(fault::FaultOp op);
-  bool has_faults() const { return own_fault_ != nullptr || fault_ != nullptr; }
+  bool has_faults() const { return fault_ != nullptr; }
 
   sim::Engine& engine_;
   std::size_t node_;
@@ -121,8 +113,7 @@ class LocalFs {
   std::unordered_map<FileHandle, std::shared_ptr<Inode>> handles_;
   FileHandle next_handle_ = 1;
   Offset used_ = 0;
-  fault::FaultInjector* fault_ = nullptr;          // shared scenario injector
-  std::unique_ptr<fault::FaultInjector> own_fault_;  // node-private, lazy
+  fault::FaultInjector* fault_ = nullptr;
   LfsStats stats_;
 };
 

@@ -29,13 +29,9 @@ Request Request::grequest(sim::Engine& engine) {
 
 void Request::complete() {
   if (!valid()) throw std::logic_error("complete on invalid Request");
-  complete_at(state_->done.engine().now());
-}
-
-void Request::complete_at(Time at) {
-  if (!valid()) throw std::logic_error("complete on invalid Request");
-  state_->done.set_at(
-      at, state_->done.engine().emit_edge(sim::EdgeKind::grequest, at));
+  sim::Engine& engine = state_->done.engine();
+  const Time at = engine.now();
+  state_->done.set_at(at, engine.emit_edge(sim::EdgeKind::grequest, at));
 }
 
 void Request::wait_all(std::vector<Request>& requests) {

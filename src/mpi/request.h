@@ -53,16 +53,11 @@ class [[nodiscard]] Request {
   }
 
   /// Creates a generalized request (MPI_Grequest_start): completed later by
-  /// complete() / complete_at().
+  /// complete().
   static Request grequest(sim::Engine& engine);
 
   /// Completes a generalized request now (MPI_Grequest_complete).
   void complete();
-
-  /// Completes a generalized request at virtual time `at` — how an
-  /// asynchronous agent (the cache sync thread) publishes its completion
-  /// time without blocking.
-  void complete_at(Time at);
 
   /// Waits on all requests; the caller's clock ends at the max completion.
   static void wait_all(std::vector<Request>& requests);

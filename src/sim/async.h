@@ -1,18 +1,24 @@
-// Accounting for asynchronous, completion-time-based operations.
+// Joining asynchronous, completion-time-based operations.
 //
 // Layers that model asynchronous I/O compute a completion time from their
 // resource timelines and return it instead of advancing the caller's clock
-// (LocalFs::write_async, Pfs::write_async); the issuer joins later through a
-// generalized request. OverlapAccumulator does the virtual-time arithmetic
-// at those join points: how much of each [issued, done) service interval
-// elapsed while the issuing process was doing other work (hidden), how much
-// the issuer had to stall at the join, and the resulting overlap ratio —
-// the write-pipeline analogue of the sync thread's flush-overlap ratio.
+// (LocalFs::write_async, Pfs::write_async, CacheFile::iwrite,
+// adio::iwrite_contig). The issuer keeps the write as its service interval
+// [issued, done) — a sim::Interval, the same slot type a resource timeline
+// grants — and joins it later through join_async: the aggregator's
+// write pipeline and the sync thread's flush stream window both do. The
+// join splits the interval into a hidden part (already elapsed while the
+// issuer did other work) and a stall part (still ahead of the joiner),
+// records the stall for critical-path attribution, and advances the
+// joiner's clock to the completion.
 #pragma once
 
-#include <cstdint>
+#include <algorithm>
 
 #include "common/units.h"
+#include "sim/causal.h"
+#include "sim/engine.h"
+#include "sim/resource.h"
 
 namespace e10::sim {
 
@@ -22,49 +28,21 @@ struct JoinOutcome {
   Time stall = 0;   // service time the joiner had to wait out
 };
 
-class OverlapAccumulator {
- public:
-  /// Records the join of an operation issued at `issued` with completion
-  /// time `done`, joined at `join_at` (issued <= join_at). The service
-  /// interval [issued, done) splits into a hidden part (already elapsed at
-  /// join time) and a stall part (still ahead of the joiner).
-  JoinOutcome on_join(Time issued, Time done, Time join_at) {
-    JoinOutcome outcome;
-    if (done < issued) done = issued;
-    if (join_at < issued) join_at = issued;
-    const Time service = done - issued;
-    outcome.hidden = join_at >= done ? service : join_at - issued;
-    outcome.stall = service - outcome.hidden;
-    ++joins_;
-    if (outcome.stall > 0) ++stalls_;
-    service_ += service;
-    hidden_ += outcome.hidden;
-    stall_ += outcome.stall;
-    return outcome;
-  }
-
-  std::uint64_t joins() const { return joins_; }
-  /// Joins that had to wait for an incomplete operation.
-  std::uint64_t stalls() const { return stalls_; }
-  /// Total service time across joined operations.
-  Time service_time() const { return service_; }
-  /// Service time that overlapped the issuer's other work.
-  Time hidden_time() const { return hidden_; }
-  /// Service time the issuer waited out at join points.
-  Time stall_time() const { return stall_; }
-
-  /// hidden / service in [0, 1]; 0 when nothing was joined.
-  double overlap_ratio() const {
-    if (service_ == 0) return 0.0;
-    return static_cast<double>(hidden_) / static_cast<double>(service_);
-  }
-
- private:
-  std::uint64_t joins_ = 0;
-  std::uint64_t stalls_ = 0;
-  Time service_ = 0;
-  Time hidden_ = 0;
-  Time stall_ = 0;
-};
+/// Joins the operation issued at `op.start` and complete (on the media) at
+/// `op.end` from the running process: splits its service interval at the
+/// current clock, records a `kind` bridge when the join stalled (this lane
+/// was gated on the operation's service time), and advances the clock to
+/// `op.end` (a no-op when that is already past). Inline, so the join adds
+/// no frame to the fiber's stack at the blocking point.
+inline JoinOutcome join_async(Engine& engine, EdgeKind kind, Interval op) {
+  const Time done = std::max(op.end, op.start);
+  const Time join_at = std::max(engine.now(), op.start);
+  JoinOutcome outcome;
+  outcome.hidden = std::min(join_at, done) - op.start;
+  outcome.stall = done - op.start - outcome.hidden;
+  if (outcome.stall > 0) engine.bridge_edge(kind, op.start, op.end);
+  engine.advance_to(op.end);
+  return outcome;
+}
 
 }  // namespace e10::sim

@@ -198,8 +198,10 @@ TEST(Fallback, CacheOpenFailureRevertsToStandardOpen) {
   // implementation reverts to standard open." Inject failures on every
   // node's local FS and verify the write path still works, uncached.
   Platform p(small_testbed());
+  fault::FaultInjector open_failures(p.engine);
+  open_failures.force_failures(fault::FaultOp::lfs_open, 100);
   for (std::size_t node = 0; node < p.params().compute_nodes; ++node) {
-    p.lfs.at(node).inject_open_failures(100);
+    p.lfs.at(node).set_fault_injector(&open_failures);
   }
   p.launch([&](mpi::Comm comm) {
     mpi::Info info = read_cache_info();
@@ -225,8 +227,10 @@ TEST(Fallback, PartialCacheFailureStaysCorrect) {
   // Only some nodes lose their cache: mixed cached/uncached aggregators
   // must still produce a byte-exact file.
   Platform p(small_testbed());
-  p.lfs.at(0).inject_open_failures(100);
-  p.lfs.at(2).inject_open_failures(100);
+  fault::FaultInjector open_failures(p.engine);
+  open_failures.force_failures(fault::FaultOp::lfs_open, 100);
+  p.lfs.at(0).set_fault_injector(&open_failures);
+  p.lfs.at(2).set_fault_injector(&open_failures);
   p.launch([&](mpi::Comm comm) {
     mpi::Info info = read_cache_info();
     info.set("e10_cache_flush_flag", "flush_immediate");

@@ -1,7 +1,7 @@
 // WritePipeline end-to-end tests: pipelined vs synchronous collective
 // writes must produce byte-identical files, the pipelined run must never be
 // slower in virtual time, and the pipeline's shared state must stay clean
-// under the concurrency checker. Plus OverlapAccumulator unit tests.
+// under the concurrency checker. Plus sim::join_async unit tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include "analysis/checker.h"
 #include "common/units.h"
 #include "mpiio/file.h"
+#include "obs/causal.h"
 #include "sim/async.h"
 #include "workloads/testbed.h"
 
@@ -198,42 +199,60 @@ TEST(WritePipeline_, CheckerFindsNoRacesInPipelinedWrites) {
   EXPECT_GT(summary.shared_accesses, 0u);
 }
 
-TEST(OverlapAccumulator_, FullyHiddenJoin) {
-  sim::OverlapAccumulator acc;
-  // Write issued at 100, done at 200, joined at 250: fully hidden.
-  const sim::JoinOutcome outcome = acc.on_join(100, 200, 250);
-  EXPECT_EQ(outcome.hidden, 100);
-  EXPECT_EQ(outcome.stall, 0);
-  EXPECT_EQ(acc.joins(), 1u);
-  EXPECT_EQ(acc.stalls(), 0u);
-  EXPECT_DOUBLE_EQ(acc.overlap_ratio(), 1.0);
+/// Joins one write issued at `issued` and complete at `done` from a process
+/// whose clock is at `join_at`, with a causal recorder attached. Returns the
+/// split, the clock after the join and the bridges recorded.
+struct JoinRun {
+  sim::JoinOutcome outcome;
+  Time end = -1;
+  std::vector<obs::CausalRecorder::Bridge> bridges;
+};
+
+JoinRun join_once(Time issued, Time done, Time join_at) {
+  sim::Engine engine;
+  obs::CausalRecorder recorder(engine);
+  JoinRun run;
+  engine.spawn("joiner", [&] {
+    engine.advance_to(join_at);
+    run.outcome = sim::join_async(engine, sim::EdgeKind::write_join,
+                                  sim::Interval{issued, done});
+    run.end = engine.now();
+  });
+  engine.run();
+  run.bridges = recorder.bridges();
+  return run;
 }
 
-TEST(OverlapAccumulator_, PartialStall) {
-  sim::OverlapAccumulator acc;
-  // Joined at 150, write completes at 200: 50 hidden, 50 stalled.
-  const sim::JoinOutcome outcome = acc.on_join(100, 200, 150);
-  EXPECT_EQ(outcome.hidden, 50);
-  EXPECT_EQ(outcome.stall, 50);
-  EXPECT_EQ(acc.stalls(), 1u);
-  EXPECT_DOUBLE_EQ(acc.overlap_ratio(), 0.5);
-  EXPECT_EQ(acc.service_time(), 100);
-  EXPECT_EQ(acc.hidden_time(), 50);
-  EXPECT_EQ(acc.stall_time(), 50);
+TEST(JoinAsync, FullyHiddenJoin) {
+  // Write issued at 100, done at 200, joined at 250: fully hidden, the
+  // clock stays put and nothing gated the joiner.
+  const JoinRun run = join_once(100, 200, 250);
+  EXPECT_EQ(run.outcome.hidden, 100);
+  EXPECT_EQ(run.outcome.stall, 0);
+  EXPECT_EQ(run.end, 250);
+  EXPECT_TRUE(run.bridges.empty());
 }
 
-TEST(OverlapAccumulator_, ImmediateJoinHidesNothing) {
-  sim::OverlapAccumulator acc;
-  const sim::JoinOutcome outcome = acc.on_join(100, 200, 100);
-  EXPECT_EQ(outcome.hidden, 0);
-  EXPECT_EQ(outcome.stall, 100);
-  EXPECT_DOUBLE_EQ(acc.overlap_ratio(), 0.0);
+TEST(JoinAsync, PartialStall) {
+  // Joined at 150, write completes at 200: 50 hidden, 50 stalled, and the
+  // stall records the write's whole service interval as a bridge.
+  const JoinRun run = join_once(100, 200, 150);
+  EXPECT_EQ(run.outcome.hidden, 50);
+  EXPECT_EQ(run.outcome.stall, 50);
+  EXPECT_EQ(run.end, 200);
+  ASSERT_EQ(run.bridges.size(), 1u);
+  EXPECT_EQ(run.bridges[0].kind, sim::EdgeKind::write_join);
+  EXPECT_EQ(run.bridges[0].issue, 100);
+  EXPECT_EQ(run.bridges[0].done, 200);
 }
 
-TEST(OverlapAccumulator_, EmptyAccumulatorHasZeroRatio) {
-  const sim::OverlapAccumulator acc;
-  EXPECT_DOUBLE_EQ(acc.overlap_ratio(), 0.0);
-  EXPECT_EQ(acc.joins(), 0u);
+TEST(JoinAsync, ImmediateJoinHidesNothing) {
+  const JoinRun run = join_once(100, 200, 100);
+  EXPECT_EQ(run.outcome.hidden, 0);
+  EXPECT_EQ(run.outcome.stall, 100);
+  EXPECT_EQ(run.end, 200);
+  ASSERT_EQ(run.bridges.size(), 1u);
+  EXPECT_EQ(run.bridges[0].kind, sim::EdgeKind::write_join);
 }
 
 }  // namespace

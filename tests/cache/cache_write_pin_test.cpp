@@ -51,10 +51,10 @@ struct Fixture {
     CacheFileParams p;
     p.global_path = "/pfs/global";
     p.cache_path = "/scratch/global.cache.0";
-    p.flush = flush;
+    p.flush_policy = flush;
     p.journal = journal;
     p.discard = false;  // keep the journal sidecar for inspection
-    p.staging_bytes = 512 * KiB;
+    p.flush.staging_bytes = 512 * KiB;
     p.alloc_chunk = 4 * MiB;
     p.metrics = &metrics;
     return p;

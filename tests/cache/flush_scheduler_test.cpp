@@ -189,7 +189,7 @@ Time drain_duration(int streams, Offset total, std::uint64_t* hidden = nullptr,
     EXPECT_EQ(outcome.bytes_written, total);
     EXPECT_EQ(batch[0].synced, total);
     if (hidden != nullptr) {
-      *hidden = static_cast<std::uint64_t>(sched.overlap().hidden_time());
+      *hidden = static_cast<std::uint64_t>(sched.stats().hidden_ns);
     }
     if (dispatches != nullptr) *dispatches = outcome.dispatches;
     EXPECT_EQ(f.pfs.peek("/pfs/global")->extent_end(), total);

@@ -72,8 +72,8 @@ TEST(FlushResume, RequeuedRequestCoalescedLaterNeverResendsDurableBytes) {
     // Defer dispatch to flush so the 2 MiB extent and its adjacent
     // neighbour are queued together: the requeued remainder must coalesce
     // with the neighbour on the second pass.
-    p.flush = FlushPolicy::onclose;
-    p.staging_bytes = 512 * KiB;
+    p.flush_policy = FlushPolicy::onclose;
+    p.flush.staging_bytes = 512 * KiB;
     p.alloc_chunk = 4 * MiB;
     p.retry.max_attempts = 1;
     p.retry.max_requeues = 4;

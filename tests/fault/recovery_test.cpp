@@ -111,8 +111,8 @@ struct Fixture {
     CacheFileParams p;
     p.global_path = "/pfs/global";
     p.cache_path = "/scratch/global.cache.0";
-    p.flush = flush;
-    p.staging_bytes = 512 * KiB;
+    p.flush_policy = flush;
+    p.flush.staging_bytes = 512 * KiB;
     p.alloc_chunk = 4 * MiB;
     return p;
   }

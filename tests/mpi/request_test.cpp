@@ -38,37 +38,18 @@ TEST(Request, GrequestCompleteWakesWaiter) {
   EXPECT_EQ(woke, seconds(1));
 }
 
-TEST(Request, GrequestCompleteAtFutureTime) {
-  // The cache sync thread completes requests at the modeled I/O completion
-  // time without blocking itself — this is the mechanism under MPI_Wait in
-  // ADIOI_GEN_Flush.
-  sim::Engine engine;
-  Request grequest;
-  Time woke = -1;
-  engine.spawn("sync-thread", [&] {
-    grequest = Request::grequest(engine);
-    grequest.complete_at(seconds(7));  // future completion, no blocking
-    EXPECT_EQ(engine.now(), 0);
-  });
-  engine.spawn("app", [&] {
-    engine.delay(seconds(1));
-    grequest.wait();
-    woke = engine.now();
-  });
-  engine.run();
-  EXPECT_EQ(woke, seconds(7));
-}
-
 TEST(Request, WaitAllAdvancesToMax) {
   sim::Engine engine;
   std::vector<Request> reqs;
+  for (int i = 0; i < 3; ++i) reqs.push_back(Request::grequest(engine));
   Time done = -1;
-  engine.spawn("owner", [&] {
-    for (int i = 1; i <= 3; ++i) {
-      Request r = Request::grequest(engine);
-      r.complete_at(seconds(i));
-      reqs.push_back(r);
+  engine.spawn("completer", [&] {
+    for (Request& r : reqs) {
+      engine.delay(seconds(1));
+      r.complete();
     }
+  });
+  engine.spawn("owner", [&] {
     Request::wait_all(reqs);
     done = engine.now();
   });
@@ -78,12 +59,14 @@ TEST(Request, WaitAllAdvancesToMax) {
 
 TEST(Request, WaitAllSkipsInvalidEntries) {
   sim::Engine engine;
+  std::vector<Request> reqs(3);  // all invalid
+  reqs.push_back(Request::grequest(engine));
   Time done = -1;
+  engine.spawn("completer", [&] {
+    engine.delay(seconds(2));
+    reqs.back().complete();
+  });
   engine.spawn("owner", [&] {
-    std::vector<Request> reqs(3);  // all invalid
-    Request r = Request::grequest(engine);
-    r.complete_at(seconds(2));
-    reqs.push_back(r);
     Request::wait_all(reqs);
     done = engine.now();
   });

@@ -205,9 +205,11 @@ TEST(CausalSites, GrequestCompleteAtGatesWaitersBeforeAndAfterTheSet) {
   CausalRecorder recorder(engine);
   mpi::Request req = mpi::Request::grequest(engine);
   engine.spawn("early", [&] { req.wait(); });
+  // Both waiters block before the completion at 5 ms, one from the start
+  // and one after a delay; each is gated by the same emission.
   engine.spawn("completer", [&] {
-    engine.delay(milliseconds(1));
-    req.complete_at(milliseconds(5));
+    engine.delay(milliseconds(5));
+    req.complete();
   });
   engine.spawn("late", [&] {
     engine.delay(milliseconds(2));
@@ -238,7 +240,8 @@ TEST(CausalSites, SyncThreadIdleDrainIsGatedByTheEnqueue) {
     const auto cache = local_fs.open("/scratch/c0", /*create=*/true).value();
     ASSERT_TRUE(local_fs.write(cache, 0, DataView::synthetic(7, 0, 64 * KiB)));
     cache::SyncThread sync(engine, local_fs, cache, pfs, global,
-                           "/pfs/global", 512 * KiB, nullptr);
+                           "/pfs/global", cache::FlushSchedulerParams{},
+                           nullptr);
     sync.start();
     engine.delay(milliseconds(1));
     cache::SyncRequest request;

@@ -63,7 +63,8 @@ TEST(Causal, SelfSamePositionAcksAreDropped) {
   // A rank completing its own request wakes nobody: no edge.
   recorder.ack(token, 1, 100);
   EXPECT_TRUE(recorder.acks().empty());
-  // Same pid at a later time is a real dependency (e.g. complete_at).
+  // Same pid at a later time is a real dependency: the wait moved its
+  // clock past the emission.
   recorder.ack(token, 1, 200);
   EXPECT_EQ(recorder.acks().size(), 1u);
   // Unknown and null tokens are ignored.

@@ -48,8 +48,7 @@ struct RuleConfig {
   /// Satisfied by a class-level `class [[nodiscard]] T` (discovered from
   /// the parsed tree) or a `[[nodiscard]]` on some declaration of the
   /// function.
-  std::set<std::string> nodiscard_types = {"Status", "Result", "WriteHandle",
-                                           "Grequest"};
+  std::set<std::string> nodiscard_types = {"Status", "Result", "Grequest"};
 };
 
 extern const std::vector<std::string> kAllRules;
